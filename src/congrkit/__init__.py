@@ -5,14 +5,7 @@ quartic residue symbols, and a registry of checkable congruence statements
 with a CLI front end.
 """
 
-from .binomsum import (
-    BinomSumSpec,
-    binom_mod,
-    binom_mod_general,
-    binom_shift_lemma_check,
-    mod_tables,
-    sum_binom_pow,
-)
+from .binomsum import binom_shift_lemma_check, mod_tables
 from .combsum import (
     TSumKey,
     delta5,
@@ -37,26 +30,13 @@ from .cyclotomic import (
     quartic_symbol,
 )
 from .errors import CongruenceError
-from .lucas import (
-    LucasPair,
-    LucasParams,
-    fibonacci_lucas_mod,
-    half_index_shift,
-    lucas_uv_exact,
-    lucas_uv_mod,
-    uv_mod,
-)
+from .lucas import lucas_uv_exact, uv_mod
 from .modarith import (
-    PrimeModulus,
     Rational,
-    Residue,
     frac_mod,
     inv_mod,
     is_prime,
     jacobi,
-    mod_inv,
-    mod_pow,
-    rational_residue,
     sieve_primes,
     sqrt_mod,
 )
@@ -85,25 +65,18 @@ from .registry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinomSumSpec",
     "ClassMatch",
     "CongruenceError",
     "EisensteinInt",
     "GaussianInt",
-    "LucasPair",
-    "LucasParams",
-    "PrimeModulus",
     "QuadForm",
     "Rational",
     "Report",
     "Representation",
-    "Residue",
     "TSumKey",
     "UnityRoot3",
     "UnityRoot4",
     "Verdict",
-    "binom_mod",
-    "binom_mod_general",
     "binom_shift_lemma_check",
     "check_statement",
     "class_group",
@@ -115,28 +88,21 @@ __all__ = [
     "delta5_claimed",
     "delta5_findings",
     "delta_p",
-    "fibonacci_lucas_mod",
     "frac_mod",
-    "half_index_shift",
     "inv_mod",
     "is_prime",
     "jacobi",
     "k_factor",
     "lucas_uv_exact",
-    "lucas_uv_mod",
-    "mod_inv",
-    "mod_pow",
     "mod_tables",
     "quartic_character",
     "quartic_symbol",
-    "rational_residue",
     "reduce",
     "registered_ids",
     "reports_json",
     "represent",
     "sieve_primes",
     "sqrt_mod",
-    "sum_binom_pow",
     "t0_closed",
     "t10_lucas_identity",
     "t12_v_identities",

@@ -8,29 +8,10 @@ pass over the diagonal sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DenominatorDivisibleError, OutOfRangeError
-from .modarith import PrimeModulus, Rational, Residue, frac_mod, inv_mod
-
-
-@dataclass(frozen=True)
-class BinomSumSpec:
-    """sum_{k=0}^{upper} C(a k, b k) m^k with 0 <= b <= a."""
-
-    a: int
-    b: int
-    m: Rational
-    upper: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", Fraction(self.m))
-        if not (0 <= self.b <= self.a) or self.a <= 0:
-            raise OutOfRangeError(f"need 0 <= b <= a with a > 0, got a={self.a} b={self.b}")
-        if self.upper < 0:
-            raise OutOfRangeError("upper limit must be non-negative")
+from .errors import OutOfRangeError
+from .modarith import inv_mod
 
 
 class ModTables:
@@ -105,49 +86,6 @@ def mod_tables(p: int) -> ModTables:
     return ModTables(p)
 
 
-def binom_mod(n: int, k: int, p: PrimeModulus) -> Residue:
-    """C(n, k) mod p for 0 <= k <= n < p, by incremental products."""
-    pp = p.p
-    if not 0 <= n < pp:
-        raise OutOfRangeError(f"need 0 <= n < p, got n={n}, p={pp}")
-    if k < 0 or k > n:
-        return Residue(0, p)
-    k = min(k, n - k)
-    num = den = 1
-    for i in range(1, k + 1):
-        num = num * ((n - k + i) % pp) % pp
-        den = den * i % pp
-    return Residue(num * inv_mod(den, pp), p)
-
-
-def binom_mod_general(n: int, k: int, p: PrimeModulus) -> Residue:
-    """C(n, k) mod p for arbitrary n >= 0, via the base-p digit product."""
-    if n < 0 or k < 0:
-        raise OutOfRangeError("binomial arguments must be non-negative")
-    if k > n:
-        return Residue(0, p)
-    pp = p.p
-    out = 1
-    while n or k:
-        nd, kd = n % pp, k % pp
-        if kd > nd:
-            return Residue(0, p)
-        out = out * binom_mod(nd, kd, p).value % pp
-        n //= pp
-        k //= pp
-    return Residue(out, p)
-
-
-def sum_binom_pow(spec: BinomSumSpec, p: PrimeModulus) -> Residue:
-    """Evaluate the truncated sum mod p.  Needs a * upper < p and a
-    denominator of m that p does not divide."""
-    pp = p.p
-    if spec.m.denominator % pp == 0:
-        raise DenominatorDivisibleError(f"{spec.m} has denominator divisible by {pp}")
-    m = frac_mod(spec.m, pp)
-    return Residue(mod_tables(pp).sum_diag_pow(spec.a, spec.b, m, spec.upper), p)
-
-
 _SHIFT_LEMMAS = {
     # name -> (a, scale s, shift base n0(p)); checks, for 1 <= k <= n0,
     #   C(n0 + k, n0 - k) = C(a k, (a/2) k or k) / s^k  (mod p)
@@ -157,8 +95,8 @@ _SHIFT_LEMMAS = {
 }
 
 
-def binom_shift_lemma_check(which: str, p: PrimeModulus) -> bool:
-    """Check one of the shifted-binomial lemmas for every k in range.
+def binom_shift_lemma_check(which: str, p: int) -> bool:
+    """Check one shifted-binomial lemma at the odd prime p, for every k in range.
 
     L2.2: C([p/4]+k, [p/4]-k) = C(4k, 2k) / (-64)^k
     L2.3: C((p-1)/2, k)       = C(2k, k)  / (-4)^k
@@ -166,24 +104,23 @@ def binom_shift_lemma_check(which: str, p: PrimeModulus) -> bool:
     """
     if which not in _SHIFT_LEMMAS:
         raise OutOfRangeError(f"unknown lemma {which!r}")
-    pp = p.p
-    t = mod_tables(pp)
+    t = mod_tables(p)
     if which == "L2.3":
-        n0 = (pp - 1) // 2
-        inv_s = inv_mod(-4, pp)
+        n0 = (p - 1) // 2
+        inv_s = inv_mod(-4, p)
         sk = 1
         for k in range(1, n0 + 1):
-            sk = sk * inv_s % pp
-            if t.binom(n0, k) != t.binom(2 * k, k) * sk % pp:
+            sk = sk * inv_s % p
+            if t.binom(n0, k) != t.binom(2 * k, k) * sk % p:
                 return False
         return True
     a, s = _SHIFT_LEMMAS[which]
-    n0 = pp // a
+    n0 = p // a
     b = a // 2 if which == "L2.2" else 1
-    inv_s = inv_mod(s, pp)
+    inv_s = inv_mod(s, p)
     sk = 1
     for k in range(1, n0 + 1):
-        sk = sk * inv_s % pp
-        if t.binom(n0 + k, n0 - k) != t.binom(a * k, b * k) * sk % pp:
+        sk = sk * inv_s % p
+        if t.binom(n0 + k, n0 - k) != t.binom(a * k, b * k) * sk % p:
             return False
     return True

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from .binomsum import BinomSumSpec, sum_binom_pow
+from .binomsum import mod_tables
 from .combsum import TSumKey, t_sum_exact
 from .cyclotomic import EisensteinInt, GaussianInt, cubic_symbol, quartic_symbol
-from .errors import CongruenceError
+from .errors import CongruenceError, OutOfRangeError
 from .lucas import uv_mod
-from .modarith import PrimeModulus, is_prime, jacobi, sieve_primes
+from .modarith import inv_mod, is_prime, jacobi, sieve_primes
 from .qform import QuadForm, class_group, represent
 from .registry import registered_ids, reports_json, verify_many
 
@@ -61,9 +60,14 @@ def cmd_compute_sum(args) -> int:
     p = _require_prime(args.prime)
     if args.den % p == 0:
         raise CongruenceError(f"denominator {args.den} vanishes mod {p}")
-    upper = args.upper if args.upper is not None else p // args.a
-    spec = BinomSumSpec(args.a, args.b, Fraction(args.num, args.den), upper)
-    print(sum_binom_pow(spec, PrimeModulus(p)).value)
+    a, b = args.a, args.b
+    if a <= 0 or not 0 <= b <= a:
+        raise OutOfRangeError(f"need 0 <= b <= a with a > 0, got a={a} b={b}")
+    upper = args.upper if args.upper is not None else p // a
+    if upper < 0:
+        raise OutOfRangeError(f"upper limit must be non-negative, got {upper}")
+    ratio = args.num * inv_mod(args.den, p) % p
+    print(mod_tables(p).sum_diag_pow(a, b, ratio, upper))
     return 0
 
 

@@ -25,10 +25,6 @@ class OutOfRangeError(CongruenceError):
     """Argument outside the range the algorithm is valid for."""
 
 
-class DivisionByZeroError(CongruenceError):
-    """Index shift that would divide by a quantity the prime kills."""
-
-
 class UnsupportedModulusError(CongruenceError):
     """Closed form requested for a modulus that has none."""
 

@@ -10,34 +10,15 @@ doubling, carrying Q^n along:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .errors import DivisionByZeroError, IndexTooLargeError
-from .modarith import PrimeModulus, Rational, Residue, frac_mod, inv_mod
+from .errors import IndexTooLargeError, OutOfRangeError
 
 EXACT_INDEX_LIMIT = 500
 
 
-@dataclass(frozen=True)
-class LucasParams:
-    P: Rational
-    Q: Rational
-
-    def __post_init__(self):
-        object.__setattr__(self, "P", Fraction(self.P))
-        object.__setattr__(self, "Q", Fraction(self.Q))
-
-
-@dataclass(frozen=True)
-class LucasPair:
-    u: Residue
-    v: Residue
-    n: int
-
-
 def uv_mod(P: int, Q: int, n: int, p: int) -> tuple[int, int]:
     """(U_n, V_n) mod p for integer residues P, Q; the fast inner core."""
+    if n < 0:
+        raise OutOfRangeError(f"Lucas index must be non-negative, got {n}")
     if n == 0:
         return 0, 2 % p
     P %= p
@@ -56,19 +37,6 @@ def uv_mod(P: int, Q: int, n: int, p: int) -> tuple[int, int]:
     return u, v
 
 
-def lucas_uv_mod(params: LucasParams, n: int, p: PrimeModulus) -> LucasPair:
-    """U_n and V_n reduced mod p; P, Q may be rationals with p-unit denominators."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    u, v = uv_mod(frac_mod(params.P, p.p), frac_mod(params.Q, p.p), n, p.p)
-    return LucasPair(Residue(u, p), Residue(v, p), n)
-
-
-def fibonacci_lucas_mod(n: int, p: PrimeModulus) -> LucasPair:
-    """F_n = U_n(1, -1) and L_n = V_n(1, -1) mod p."""
-    return lucas_uv_mod(LucasParams(1, -1), n, p)
-
-
 def lucas_uv_exact(P: int, Q: int, n: int) -> tuple[int, int]:
     """Exact integer (U_n, V_n), guarded to n <= 500 to keep sizes sane."""
     if n > EXACT_INDEX_LIMIT:
@@ -82,19 +50,3 @@ def lucas_uv_exact(P: int, Q: int, n: int) -> tuple[int, int]:
         v0, v1 = v1, P * v1 - Q * v0
     return u0, v0
 
-
-def half_index_shift(
-    pair: LucasPair, params: LucasParams, p: PrimeModulus
-) -> tuple[Residue, Residue]:
-    """(U_{n+1}, U_{n-1}) from (U_n, V_n): 2 U_{n+1} = P U_n + V_n and
-    2 Q U_{n-1} = P U_n - V_n.  Raises when p divides Q."""
-    pp = p.p
-    P = frac_mod(params.P, pp)
-    Q = frac_mod(params.Q, pp)
-    if Q == 0:
-        raise DivisionByZeroError(f"index shift needs p not dividing 2Q (p={pp})")
-    inv2 = (pp + 1) // 2
-    t = P * pair.u.value % pp
-    up = (t + pair.v.value) * inv2 % pp
-    um = (t - pair.v.value) * inv2 % pp * inv_mod(Q, pp) % pp
-    return Residue(up, p), Residue(um, p)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     DenominatorDivisibleError,
@@ -51,31 +50,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _checked_odd_prime(p: int) -> bool:
-    return p >= 3 and p % 2 == 1 and is_prime(p)
-
-
-class PrimeModulus:
-    """An odd prime modulus, validated on construction."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not _checked_odd_prime(p):
-            raise ValueError(f"modulus must be an odd prime, got {p}")
-        self.p = p
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeModulus) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeModulus", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeModulus({self.p})"
-
-
 def inv_mod(a: int, p: int) -> int:
     """Inverse of a modulo the odd prime p, raising on a == 0 (mod p)."""
     a %= p
@@ -92,86 +66,6 @@ def frac_mod(q: Rational | int, p: int) -> int:
     if den % p == 0:
         raise DenominatorDivisibleError(f"{q} has denominator divisible by {p}")
     return num * pow(den, -1, p) % p
-
-
-class Residue:
-    """Canonical residue a mod p with the usual field arithmetic."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int | Rational, modulus: PrimeModulus):
-        self.value = frac_mod(value, modulus.p)
-        self.modulus = modulus
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, Residue):
-            if other.modulus.p != self.modulus.p:
-                raise ValueError("mixed moduli")
-            return other.value
-        return frac_mod(other, self.modulus.p)
-
-    def __add__(self, other):
-        return Residue(self.value + self._coerce(other), self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Residue(self.value - self._coerce(other), self.modulus)
-
-    def __rsub__(self, other):
-        return Residue(self._coerce(other) - self.value, self.modulus)
-
-    def __mul__(self, other):
-        return Residue(self.value * self._coerce(other), self.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Residue(
-            self.value * inv_mod(self._coerce(other), self.modulus.p), self.modulus
-        )
-
-    def __rtruediv__(self, other):
-        return Residue(
-            self._coerce(other) * inv_mod(self.value, self.modulus.p), self.modulus
-        )
-
-    def __neg__(self):
-        return Residue(-self.value, self.modulus)
-
-    def __pow__(self, exp: int):
-        return mod_pow(self, exp)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Residue):
-            return other.modulus.p == self.modulus.p and other.value == self.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == frac_mod(other, self.modulus.p)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.modulus.p))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"Residue({self.value} mod {self.modulus.p})"
-
-
-def mod_pow(base: Residue, exp: int) -> Residue:
-    """base**exp for exp >= 0."""
-    if exp < 0:
-        raise ValueError("exponent must be non-negative; invert first")
-    return Residue(pow(base.value, exp, base.modulus.p), base.modulus)
-
-
-def mod_inv(a: Residue) -> Residue:
-    return Residue(inv_mod(a.value, a.modulus.p), a.modulus)
-
-
-def rational_residue(q: Rational | int, p: PrimeModulus) -> Residue:
-    return Residue(q, p)
 
 
 def jacobi(a: int, n: int) -> int:

@@ -11,6 +11,7 @@ counts and runs.
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -193,6 +194,10 @@ def dispatch(
     return label, thunk()
 
 
+def _sign_pow(e: int) -> int:
+    return -1 if e % 2 else 1
+
+
 def _failure(p: int, params: dict | None, out: Outcome) -> dict:
     return {
         "prime": p,
@@ -314,7 +319,8 @@ def verify_many(
     """Reports for several ids over all odd primes <= prime_limit.
 
     Primes run in the outer loop so per-prime tables are shared across
-    statements; output is independent of the job count.
+    statements; output is independent of the job count, which is capped at
+    the CPU count and the number of chunks.
     """
     for sid in ids:
         _get(sid)
@@ -322,6 +328,7 @@ def verify_many(
         raise OutOfRangeError(f"prime_limit must be at least 5, got {prime_limit}")
     primes = [q for q in sieve_primes(prime_limit) if q > 2]
     results: dict[str, list] = {sid: [] for sid in ids}
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(primes) < 16:
         done: set[str] = set()
         for p in primes:
@@ -337,7 +344,7 @@ def verify_many(
                     done.add(sid)
     else:
         tasks = [(ids, chunk, seed) for chunk in _split(primes, jobs)]
-        with get_context("fork").Pool(jobs) as pool:
+        with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
             for part in pool.imap(_chunk_worker, tasks):
                 for sid in ids:
                     results[sid].extend(part[sid])

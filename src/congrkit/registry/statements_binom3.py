@@ -11,21 +11,18 @@ from __future__ import annotations
 from ..binomsum import binom_shift_lemma_check
 from ..cyclotomic import EisensteinInt, cubic_symbol
 from ..errors import RowDispatchViolationError
-from ..modarith import PrimeModulus, jacobi
+from ..modarith import jacobi
 from ..qform import QuadForm
 from .engine import (
     SAMPLER_RETRIES,
     Ctx,
     Outcome,
     Statement,
+    _sign_pow,
     cubic_roots,
     dispatch,
     register,
 )
-
-
-def _sign_pow(e: int) -> int:
-    return -1 if e % 2 else 1
 
 
 def _sample_ab(rng, p):
@@ -178,7 +175,7 @@ register(Statement(
 
 
 def _check_lem_3_1(ctx: Ctx, params) -> Outcome:
-    ok = binom_shift_lemma_check("L3.1", PrimeModulus(ctx.p))
+    ok = binom_shift_lemma_check("L3.1", ctx.p)
     return Outcome(ok, None, "C([p/3]+k, [p/3]-k) = C(3k,k)/(-27)^k for k <= [p/3]", None)
 
 

@@ -12,22 +12,19 @@ from math import gcd
 
 from ..binomsum import binom_shift_lemma_check
 from ..errors import CongruenceError, RowDispatchViolationError
-from ..modarith import PrimeModulus, jacobi, sqrt_mod
+from ..modarith import jacobi, sqrt_mod
 from ..qform import QuadForm
 from .engine import (
     SAMPLER_RETRIES,
     Ctx,
     Outcome,
     Statement,
+    _sign_pow,
     delta_sign_from_symbol,
     delta_solve,
     dispatch,
     register,
 )
-
-
-def _sign_pow(e: int) -> int:
-    return -1 if e % 2 else 1
 
 
 # ---------------------------------------------------------------- samplers
@@ -683,7 +680,7 @@ register(Statement(
 # ------------------------------------------------------ shifted binomials
 
 def _check_lem_2_2(ctx: Ctx, params) -> Outcome:
-    ok = binom_shift_lemma_check("L2.2", PrimeModulus(ctx.p))
+    ok = binom_shift_lemma_check("L2.2", ctx.p)
     return Outcome(ok, None, "C([p/4]+k, [p/4]-k) = C(4k,2k)/(-64)^k for k <= [p/4]", None)
 
 
@@ -696,7 +693,7 @@ register(Statement(
 
 
 def _check_lem_2_3(ctx: Ctx, params) -> Outcome:
-    ok = binom_shift_lemma_check("L2.3", PrimeModulus(ctx.p))
+    ok = binom_shift_lemma_check("L2.3", ctx.p)
     return Outcome(ok, None, "C((p-1)/2, k) = C(2k,k)/(-4)^k for k <= (p-1)/2", None)
 
 

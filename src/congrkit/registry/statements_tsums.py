@@ -17,11 +17,7 @@ from ..combsum import (
     t_sum_exact,
     t0_closed,
 )
-from .engine import Ctx, Outcome, Statement, dispatch, register
-
-
-def _sign_pow(e: int) -> int:
-    return -1 if e % 2 else 1
+from .engine import Ctx, Outcome, Statement, _sign_pow, dispatch, register
 
 
 def _check_intro_1_4(ctx: Ctx, params) -> Outcome:

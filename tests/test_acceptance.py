@@ -10,9 +10,8 @@ import json
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
-from congrkit.binomsum import BinomSumSpec, sum_binom_pow
+from congrkit.binomsum import mod_tables
 from congrkit.combsum import (
     TSumKey,
     t0_closed,
@@ -27,7 +26,7 @@ from congrkit.cyclotomic import (
     cubic_symbol,
     quartic_character,
 )
-from congrkit.modarith import PrimeModulus, jacobi, sieve_primes
+from congrkit.modarith import inv_mod, jacobi, sieve_primes
 from congrkit.registry import check_statement, delta_p, verify_many, verify_range
 from congrkit import cli
 
@@ -139,12 +138,9 @@ def test_criterion_5_delta_sign_cross_check_and_periodicity(capfd):
 
 def test_criterion_6_spot_values(capfd):
     with _gate(capfd, 6, "frozen spot values at p = 7, 11, 19, 31, 13"):
-        assert sum_binom_pow(BinomSumSpec(4, 2, Fraction(-1), 1), PrimeModulus(7)) == 2
-        assert sum_binom_pow(BinomSumSpec(4, 2, Fraction(1), 2), PrimeModulus(11)) == 0
-        assert (
-            sum_binom_pow(BinomSumSpec(3, 1, Fraction(-1, 27), 6), PrimeModulus(19))
-            == 5
-        )
+        assert mod_tables(7).sum_diag_pow(4, 2, -1 % 7, 1) == 2
+        assert mod_tables(11).sum_diag_pow(4, 2, 1, 2) == 0
+        assert mod_tables(19).sum_diag_pow(3, 1, -inv_mod(27, 19) % 19, 6) == 5
         v = check_statement("thm-3.4", 19)
         assert v.outcome == "Pass" and v.rhs == 5
         assert v.row.startswith("p = x^2+15y^2")

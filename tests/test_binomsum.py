@@ -1,22 +1,14 @@
 """Binomial coefficients mod p and truncated diagonal sums."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from congrkit.binomsum import (
-    BinomSumSpec,
-    ModTables,
-    binom_mod,
-    binom_mod_general,
-    binom_shift_lemma_check,
-    mod_tables,
-    sum_binom_pow,
-)
-from congrkit.errors import DenominatorDivisibleError, OutOfRangeError
-from congrkit.modarith import PrimeModulus, sieve_primes
+from congrkit.binomsum import ModTables, binom_shift_lemma_check, mod_tables
+from congrkit.errors import OutOfRangeError, ZeroInverseError
+from congrkit.modarith import inv_mod, sieve_primes
+from congrkit.registry import Ctx
 
 ODD_PRIMES = sieve_primes(200)[1:]
 
@@ -25,17 +17,12 @@ ODD_PRIMES = sieve_primes(200)[1:]
 def test_binom_mod_matches_comb(p, n, k):
     if n >= p:
         return
-    assert binom_mod(n, k, PrimeModulus(p)).value == math.comb(n, k) % p
+    assert mod_tables(p).binom(n, k) == math.comb(n, k) % p
 
 
 @given(st.sampled_from(ODD_PRIMES), st.integers(0, 3000), st.integers(0, 3000))
 def test_binom_general_matches_comb(p, n, k):
-    assert binom_mod_general(n, k, PrimeModulus(p)).value == math.comb(n, k) % p
-
-
-def test_binom_mod_range_guard():
-    with pytest.raises(OutOfRangeError):
-        binom_mod(7, 2, PrimeModulus(7))
+    assert mod_tables(p).binom_general(n, k) == math.comb(n, k) % p
 
 
 def test_tables_binom_agrees():
@@ -58,36 +45,25 @@ def test_mod_tables_cached():
 
 def test_sum_spot_values():
     # sum of C(4k,2k)(-1)^k for k <= [7/4] is 1 - 6 + 70 = 65 = 2 mod 7
-    s = sum_binom_pow(BinomSumSpec(4, 2, -1, 1), PrimeModulus(7))
-    assert s.value == 2
+    assert mod_tables(7).sum_diag_pow(4, 2, -1 % 7, 1) == 2
     # sum of C(4k,2k) for k <= [11/4]
-    s = sum_binom_pow(BinomSumSpec(4, 2, 1, 2), PrimeModulus(11))
-    assert s.value == 0
-    # rational ratio
-    s = sum_binom_pow(BinomSumSpec(3, 1, Fraction(-1, 27), 6), PrimeModulus(19))
-    assert s.value == 5
+    assert mod_tables(11).sum_diag_pow(4, 2, 1, 2) == 0
+    # rational ratio -1/27
+    assert mod_tables(19).sum_diag_pow(3, 1, -inv_mod(27, 19) % 19, 6) == 5
 
 
 @given(st.sampled_from(ODD_PRIMES), st.integers(1, 6), st.integers(-20, 20))
 def test_sum_matches_direct_evaluation(p, a, num):
     b = a // 2
     upper = (p - 1) // a
-    spec = BinomSumSpec(a, b, num, upper)
-    got = sum_binom_pow(spec, PrimeModulus(p)).value
+    got = mod_tables(p).sum_diag_pow(a, b, num % p, upper)
     want = sum(math.comb(a * k, b * k) * num ** k for k in range(upper + 1)) % p
     assert got == want
 
 
 def test_sum_rejects_bad_denominator():
-    with pytest.raises(DenominatorDivisibleError):
-        sum_binom_pow(BinomSumSpec(4, 2, Fraction(1, 7), 1), PrimeModulus(7))
-
-
-def test_spec_validates_shape():
-    with pytest.raises(OutOfRangeError):
-        BinomSumSpec(2, 3, 1, 5)
-    with pytest.raises(OutOfRangeError):
-        BinomSumSpec(4, 2, 1, -1)
+    with pytest.raises(ZeroInverseError):
+        Ctx(7).sum_binom(4, 2, 1, 7)
 
 
 @pytest.mark.parametrize("which", ["L2.2", "L2.3", "L3.1"])
@@ -96,9 +72,9 @@ def test_shift_lemmas_hold(which):
     for p in sieve_primes(500)[1:]:
         if skip3 and p == 3:
             continue
-        assert binom_shift_lemma_check(which, PrimeModulus(p))
+        assert binom_shift_lemma_check(which, p)
 
 
 def test_shift_lemma_unknown_name():
     with pytest.raises(OutOfRangeError):
-        binom_shift_lemma_check("L9.9", PrimeModulus(7))
+        binom_shift_lemma_check("L9.9", 7)

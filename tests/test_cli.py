@@ -53,6 +53,12 @@ def test_compute_lucas(capsys):
     assert capsys.readouterr().out.strip() == "U=55 V=22"
 
 
+def test_compute_lucas_negative_index_errors(capsys):
+    assert main(["compute", "lucas", "--P", "1", "--Q", "-1", "--n", "-5",
+                 "--prime", "101"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_represent(capsys):
     assert main(["represent", "--form", "1,0,15", "--prime", "31"]) == 0
     assert capsys.readouterr().out.strip() == "(-4,-1) (-4,1) (4,-1) (4,1)"
@@ -107,6 +113,17 @@ def test_compute_sum_bad_prime_errors(capsys):
     assert main(["compute", "sum", "--a", "4", "--b", "2", "--num", "1",
                  "--prime", "15"]) == 2
     assert "not an odd prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    pytest.param(["--a", "0", "--b", "0"], id="a-zero"),
+    pytest.param(["--a", "2", "--b", "3"], id="b-above-a"),
+    pytest.param(["--a", "4", "--b", "2", "--upper", "-1"], id="upper-negative"),
+    pytest.param(["--a", "4", "--b", "2", "--den", "14"], id="den-vanishes"),
+])
+def test_compute_sum_bad_input_errors(capsys, extra):
+    assert main(["compute", "sum", "--num", "1", "--prime", "7", *extra]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_as_subprocess_matches_in_process():

@@ -1,21 +1,11 @@
 """Lucas sequence evaluation, exact and modular."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
-from congrkit.errors import DivisionByZeroError, IndexTooLargeError
-from congrkit.lucas import (
-    LucasPair,
-    LucasParams,
-    fibonacci_lucas_mod,
-    half_index_shift,
-    lucas_uv_exact,
-    lucas_uv_mod,
-    uv_mod,
-)
-from congrkit.modarith import PrimeModulus, jacobi, sieve_primes
+from congrkit.errors import IndexTooLargeError, OutOfRangeError
+from congrkit.lucas import lucas_uv_exact, uv_mod
+from congrkit.modarith import frac_mod, jacobi, sieve_primes
 
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610]
 LUC = [2, 1, 3, 4, 7, 11, 18, 29, 47, 76, 123, 199, 322, 521, 843, 1364]
@@ -54,36 +44,16 @@ def test_un_of_1_1_six_periodic(n, p):
     assert u == want % p
 
 
-def test_fibonacci_lucas_mod_wrapper():
-    pair = fibonacci_lucas_mod(10, PrimeModulus(101))
-    assert isinstance(pair, LucasPair)
-    assert pair.u.value == 55 and pair.v.value == 22 and pair.n == 10
+def test_uv_mod_rejects_negative_index():
+    with pytest.raises(OutOfRangeError):
+        uv_mod(1, -1, -5, 101)
 
 
-def test_rational_parameters_reduce():
-    # P = 1/2 mod 7 is 4; compare against integer-parameter run
-    p = PrimeModulus(7)
-    a = lucas_uv_mod(LucasParams(P=Fraction(1, 2), Q=3), 9, p)
-    b = uv_mod(4, 3, 9, 7)
-    assert (a.u.value, a.v.value) == b
-
-
-@given(st.integers(-20, 20), st.integers(-20, 20), st.integers(1, 150),
+@given(st.fractions(-30, 30, max_denominator=50), st.integers(-30, 30), st.integers(0, 60),
        st.sampled_from(sieve_primes(150)[1:]))
-def test_half_index_shift_consistent(P, Q, n, p):
-    if Q % p == 0:
+def test_rational_parameters_reduce(P, Q, n, p):
+    # reducing a rational P mod p commutes with the recurrence
+    if P.denominator % p == 0:
         return
-    mod = PrimeModulus(p)
-    params = LucasParams(P, Q)
-    pair = lucas_uv_mod(params, n, mod)
-    up, um = half_index_shift(pair, params, mod)
-    assert up.value == uv_mod(P, Q, n + 1, p)[0]
-    assert um.value == uv_mod(P, Q, n - 1, p)[0]
-
-
-def test_half_index_shift_rejects_zero_q():
-    mod = PrimeModulus(5)
-    params = LucasParams(3, 5)
-    pair = lucas_uv_mod(params, 4, mod)
-    with pytest.raises(DivisionByZeroError):
-        half_index_shift(pair, params, mod)
+    ue, ve = lucas_uv_exact(P, Q, n)
+    assert uv_mod(frac_mod(P, p), Q, n, p) == (frac_mod(ue, p), frac_mod(ve, p))

@@ -5,20 +5,16 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from congrkit.errors import EvenModulusError, ZeroInverseError
+from congrkit.errors import DenominatorDivisibleError, EvenModulusError, ZeroInverseError
 from congrkit.modarith import (
-    PrimeModulus,
-    Residue,
     frac_mod,
     inv_mod,
     is_prime,
     jacobi,
-    mod_inv,
-    mod_pow,
-    rational_residue,
     sieve_primes,
     sqrt_mod,
 )
+from congrkit.registry import Ctx
 from fractions import Fraction
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -106,32 +102,16 @@ def test_sqrt_mod_both_prime_classes():
 
 
 def test_mod_pow_and_mod_inv():
-    p = PrimeModulus(13)
-    x = Residue(2, p)
-    assert mod_pow(x, 5).value == 6
-    assert mod_inv(x).value == 7
-    with pytest.raises(ValueError):
-        mod_pow(x, -1)
-
-
-def test_residue_field_arithmetic():
-    p = PrimeModulus(11)
-    x = Residue(7, p)
-    assert (x + 5).value == 1
-    assert (3 - x).value == 7
-    assert (x * x).value == 5
-    assert (x / 2).value == 9
-    assert (2 / x).value == 2 * inv_mod(7, 11) % 11
-    assert x == Residue(-4, p)
+    ctx = Ctx(13)
+    assert ctx.pw(2, 5) == 6
+    assert ctx.inv(2) == 7 and ctx.inv(-11) == 7
+    assert ctx.pw(2, -1) == 7 and ctx.pw(2, -5) == inv_mod(6, 13)
+    assert ctx.fr(-1, 2) == 6
+    with pytest.raises(ZeroInverseError):
+        ctx.pw(26, -1)
 
 
 def test_rational_residue():
-    assert rational_residue(Fraction(22, 7), PrimeModulus(5)).value == \
-        22 * inv_mod(7, 5) % 5
-
-
-def test_prime_modulus_rejects_nonprime():
-    with pytest.raises(ValueError):
-        PrimeModulus(15)
-    with pytest.raises(ValueError):
-        PrimeModulus(2)
+    assert frac_mod(Fraction(22, 7), 5) == 22 * inv_mod(7, 5) % 5
+    with pytest.raises(DenominatorDivisibleError):
+        frac_mod(Fraction(1, 5), 5)

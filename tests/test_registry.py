@@ -14,6 +14,7 @@ from congrkit.registry import (
     verify_many,
     verify_range,
 )
+from congrkit.registry import engine
 from congrkit.registry.engine import dispatch
 from congrkit.errors import RowDispatchViolationError
 
@@ -101,6 +102,38 @@ def test_jobs_do_not_change_output():
     a = reports_json(verify_many(["thm-2.1", "thm-3.3"], 400, jobs=1, seed=7))
     b = reports_json(verify_many(["thm-2.1", "thm-3.3"], 400, jobs=3, seed=7))
     assert a == b
+
+
+def test_pool_size_is_bounded(monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, size):
+            asked.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
+
+    class Context:
+        Pool = InProcessPool
+
+    want = reports_json(verify_many(["thm-2.1"], 400, jobs=1))
+    monkeypatch.setattr(engine, "get_context", lambda method: Context())
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    assert reports_json(verify_many(["thm-2.1"], 400, jobs=10**6)) == want
+    # 45 odd primes to 200 split into 6 chunks of 8
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
+    assert reports_json(verify_many(["thm-2.1"], 200, jobs=64)) == \
+        reports_json(verify_many(["thm-2.1"], 200, jobs=1))
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
+    assert reports_json(verify_many(["thm-2.1"], 400, jobs=8)) == want
+    assert asked == [4, 6]
 
 
 def test_seed_changes_sampled_parameters_not_verdicts():
