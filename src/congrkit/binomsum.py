@@ -35,8 +35,10 @@ class ModTables:
         self._diag: dict[tuple[int, int], list[int]] = {}
 
     def binom(self, n: int, k: int) -> int:
-        """C(n, k) mod p for 0 <= n < p."""
-        if k < 0 or k > n:
+        """C(n, k) mod p for 0 <= n < p; 0 when k is outside [0, n]."""
+        if not 0 <= k <= n < self.p:
+            if 0 <= k <= n:
+                raise OutOfRangeError(f"binom needs n < p = {self.p}, got n = {n}")
             return 0
         return self.fact[n] * self.inv_fact[k] % self.p * self.inv_fact[n - k] % self.p
 
@@ -87,8 +89,8 @@ def mod_tables(p: int) -> ModTables:
 
 
 _SHIFT_LEMMAS = {
-    # name -> (a, scale s, shift base n0(p)); checks, for 1 <= k <= n0,
-    #   C(n0 + k, n0 - k) = C(a k, (a/2) k or k) / s^k  (mod p)
+    # name -> (a, scale s); the shift base is n0 = [p/a], and
+    # binom_shift_lemma_check spells out each identity
     "L2.2": (4, -64),
     "L2.3": (2, -4),
     "L3.1": (3, -27),

@@ -22,12 +22,13 @@ def _require_prime(p: int) -> int:
 
 
 def _parse_pair(text: str, what: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return int(parts[0]), 0
-    if len(parts) != 2:
-        raise CongruenceError(f"{what} must be 'a' or 'a,b', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        nums = [int(t) for t in text.split(",")]
+    except ValueError:
+        nums = []
+    if not 1 <= len(nums) <= 2:
+        raise CongruenceError(f"{what} must be integers 'a' or 'a,b', got {text!r}")
+    return nums[0], nums[1] if len(nums) == 2 else 0
 
 
 def cmd_verify(args) -> int:
@@ -100,7 +101,10 @@ def cmd_compute_tsum(args) -> int:
 
 
 def cmd_represent(args) -> int:
-    a, b, c = (int(t) for t in args.form.split(","))
+    try:
+        a, b, c = (int(t) for t in args.form.split(","))
+    except ValueError:
+        raise CongruenceError(f"--form must be integers 'a,b,c', got {args.form!r}") from None
     p = _require_prime(args.prime)
     reps = represent(QuadForm(a, b, c), p)
     print(" ".join(f"({r.x},{r.y})" for r in reps))

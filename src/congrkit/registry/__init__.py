@@ -5,23 +5,20 @@ from .engine import (
     NOT_APPLICABLE,
     PASS,
     Ctx,
-    DeltaP,
     Outcome,
     Report,
     Statement,
     Verdict,
     check_statement,
     cubic_roots,
-    delta_p,
-    delta_sign_from_symbol,
-    delta_solve,
     registered_ids,
     reports_json,
     verify_many,
     verify_range,
 )
 
-from . import statements_binom4  # noqa: F401  (registers ids on import)
+# importing a statements module registers its ids
+from .statements_binom4 import DeltaP, delta_p, delta_sign_from_symbol, delta_solve
 from . import statements_binom3  # noqa: F401
 from . import statements_tsums  # noqa: F401
 

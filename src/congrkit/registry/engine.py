@@ -14,18 +14,12 @@ import json
 import os
 import random
 from dataclasses import dataclass
+from math import gcd
 from multiprocessing import get_context
 from typing import Any, Callable
 
 from ..binomsum import mod_tables
-from ..cyclotomic import GaussianInt, quartic_symbol
-from ..errors import (
-    CongruenceError,
-    NotCoprimeError,
-    OutOfRangeError,
-    RowDispatchViolationError,
-    UnknownIdError,
-)
+from ..errors import OutOfRangeError, RowDispatchViolationError, UnknownIdError
 from ..lucas import uv_mod
 from ..modarith import inv_mod, is_prime, jacobi, sieve_primes
 from ..qform import ClassMatch, QuadForm, classify_by_class, represent, two_squares
@@ -180,18 +174,46 @@ def _get(sid: str) -> Statement:
         raise UnknownIdError(f"no statement registered under id {sid!r}") from None
 
 
-def dispatch(
-    sid: str, p: int, rows: list[tuple[str, bool, Callable[[], int]]]
-) -> tuple[str, int]:
-    """Exactly one row may fire; returns its label and value."""
-    hits = [(label, thunk) for label, fired, thunk in rows if fired]
-    if len(hits) != 1:
-        labels = [label for label, _ in hits]
-        raise RowDispatchViolationError(
-            f"{sid} at p={p}: {len(hits)} rows fire ({labels})"
-        )
-    label, thunk = hits[0]
-    return label, thunk()
+class CaseTable:
+    """Right-hand rows chosen by p mod M, checked to be total when built.
+
+    A row is (label, classes, value) with value a Ctx -> int.  The classes
+    of all rows must partition the units mod M exactly; anything else raises
+    RowDispatchViolationError here, at import.  By Dirichlet's theorem every
+    unit class contains primes, so a table that builds is total at every
+    prime not dividing M, and at() is one dict lookup.
+    """
+
+    __slots__ = ("modulus", "_by_class")
+
+    def __init__(self, modulus: int, rows: tuple[tuple, ...]):
+        self.modulus = modulus
+        self._by_class: dict[int, tuple] = {}
+        for row in rows:
+            label, classes, _value = row
+            for r in classes:
+                r %= modulus
+                if gcd(r, modulus) != 1:
+                    raise RowDispatchViolationError(
+                        f"mod {modulus}: row {label!r} names the non-unit {r}")
+                if r in self._by_class:
+                    raise RowDispatchViolationError(
+                        f"mod {modulus}: class {r} is in rows "
+                        f"{self._by_class[r][0]!r} and {label!r}")
+                self._by_class[r] = row
+        missing = [r for r in range(modulus)
+                   if gcd(r, modulus) == 1 and r not in self._by_class]
+        if missing:
+            raise RowDispatchViolationError(
+                f"mod {modulus}: no row for the units {missing}")
+
+    def at(self, ctx: Ctx) -> tuple[str, int]:
+        """(label, value) of the row for ctx.p."""
+        row = self._by_class.get(ctx.p % self.modulus)
+        if row is None:
+            raise RowDispatchViolationError(
+                f"mod {self.modulus}: p={ctx.p} divides the modulus")
+        return row[0], row[2](ctx)
 
 
 def _sign_pow(e: int) -> int:
@@ -379,102 +401,3 @@ def cubic_roots(c3: int, c1: int, c0: int, p: int) -> set[int]:
     return {
         x for x in range(p) if (((c3 * x % p) * x + c1) * x + c0) % p == 0
     }
-
-
-@dataclass(frozen=True)
-class DeltaP:
-    sign: int
-    derivation: str
-
-
-def _delta_display_rows(b: int, m: int, p: int) -> tuple:
-    """Row shape of the two quartic-sign displays at p.
-
-    Each display claims lhs == coeff * sign * N^e mod p with N = b^2 + 4m^2;
-    coeff 0 encodes the rows whose value is plain zero.  Returns
-    (sym, e, npow, (coeff_first, coeff_second), row_label).
-    """
-    N = b * b + 4 * m * m
-    sym = jacobi(N, p)
-    if p % 4 == 1:
-        e = (p - 1) // 4
-        coeffs = (1, 1) if sym == 1 else (0, 0)
-        label = f"4 | p-1, (N|p) = {sym}"
-    else:
-        e = (p - 3) // 4
-        coeffs = (b, 2 * m) if sym == 1 else (2 * m, -b)
-        label = f"4 | p-3, (N|p) = {sym}"
-    return sym, e, pow(N % p, e, p), coeffs, label
-
-
-def delta_solve(b: int, m: int, ctx: Ctx) -> dict:
-    """Solve both displays for the sign; None when the zero rows fire.
-
-    first display: (b|p) sum C(4k,2k) (-m^2/4b^2)^k;
-    second display: (m|p) sum C(4k,2k) (-b^2/64m^2)^k.
-    """
-    p = ctx.p
-    first = ctx.jac(b) * ctx.sum_binom(4, 2, -m * m, 4 * b * b) % p
-    second = ctx.jac(m) * ctx.sum_binom(4, 2, -b * b, 64 * m * m) % p
-    sym, e, npow, coeffs, label = _delta_display_rows(b, m, p)
-    data = {
-        "sym": sym,
-        "lhs": [first, second],
-        "row": label,
-        "consistent": True,
-        "delta": None,
-    }
-    if coeffs == (0, 0):
-        data["consistent"] = first == 0 and second == 0
-        data["rhs"] = [0, 0]
-        return data
-    d1 = first * ctx.inv(coeffs[0] * npow) % p
-    d2 = second * ctx.inv(coeffs[1] * npow) % p
-    signs = {1: 1, p - 1: -1}
-    if d1 not in signs or d1 != d2:
-        data["consistent"] = False
-        data["rhs"] = [d1, d2]
-        return data
-    data["delta"] = signs[d1]
-    data["rhs"] = [
-        coeffs[0] % p * signs[d1] % p * npow % p,
-        coeffs[1] % p * signs[d1] % p * npow % p,
-    ]
-    return data
-
-
-def delta_sign_from_symbol(b: int, m: int, p: int) -> int:
-    """The sign given by the quartic-symbol formula (times i when
-    (b^2+4m^2|p) = -1).  Raises when the symbol lands off the real axis."""
-    sym = jacobi(b * b + 4 * m * m, p)
-    e = quartic_symbol(GaussianInt(b, 2 * m), p).exponent
-    if sym == -1:
-        e = (e + 1) % 4
-    if e == 0:
-        return 1
-    if e == 2:
-        return -1
-    raise CongruenceError(
-        f"quartic symbol route gives i^{e}, not a real unit, at p={p}"
-    )
-
-
-def delta_p(b: int, m: int, p: int) -> tuple[DeltaP | None, DeltaP]:
-    """The unit sign of the quartic-sign displays, both derivations.
-
-    The congruence derivation is None exactly when p = 1 mod 4 and
-    (b^2+4m^2|p) = -1: both displays are then plain zero and carry no sign
-    information (the zero rows are still asserted)."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise OutOfRangeError(f"p must be an odd prime, got {p}")
-    if (b * m * (b * b + 4 * m * m)) % p == 0:
-        raise NotCoprimeError(f"p={p} divides b*m*(b^2+4m^2) for b={b}, m={m}")
-    data = delta_solve(b, m, Ctx(p))
-    if not data["consistent"]:
-        raise CongruenceError(
-            f"displays do not determine a unit sign at p={p}: {data}"
-        )
-    from_symbol = DeltaP(delta_sign_from_symbol(b, m, p), "from-quartic-symbol")
-    if data["delta"] is None:
-        return None, from_symbol
-    return DeltaP(data["delta"], "from-congruence"), from_symbol

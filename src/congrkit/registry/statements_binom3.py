@@ -1,7 +1,7 @@
 """Case tables for truncated sums of C(3k,k) x^k.
 
-Fixed-ratio rows dispatch on congruence classes; the class-field rows
-dispatch on which binary quadratic form class represents p, with ratio
+Fixed-ratio rows are CaseTables on p mod M; the class-field rows are
+chosen by which binary quadratic form class represents p, with ratio
 values read off a representation.  The Lucas-side statements compare the
 sums against U_n(9b,3a) evaluations.
 """
@@ -15,12 +15,11 @@ from ..modarith import jacobi
 from ..qform import QuadForm
 from .engine import (
     SAMPLER_RETRIES,
+    CaseTable,
     Ctx,
     Outcome,
     Statement,
-    _sign_pow,
     cubic_roots,
-    dispatch,
     register,
 )
 
@@ -120,6 +119,12 @@ def _rep_sub_rows(ctx: Ctx, lhs_values, form, rows, label_prefix):
 
 # ----------------------------------------------------------- statements
 
+_TABLE_ZPS = CaseTable(4, (
+    ("p ≡ 1 (mod 4)", (1,), lambda ctx: 0),
+    ("p ≡ 3 (mod 4)", (3,), lambda ctx: ctx.fr(-12, 5)),
+))
+
+
 def _check_intro_zps(ctx: Ctx, params) -> Outcome:
     p = ctx.p
     s = 0
@@ -127,10 +132,7 @@ def _check_intro_zps(ctx: Ctx, params) -> Outcome:
     for k in range(1, p):
         pow2 = pow2 * 2 % p
         s = (s + pow2 * ctx.tables.binom_general(3 * k, k)) % p
-    label, rhs = dispatch("intro-zps", p, [
-        ("p ≡ 1 (mod 4)", p % 4 == 1, lambda: 0),
-        ("p ≡ 3 (mod 4)", p % 4 == 3, lambda: ctx.fr(-12, 5)),
-    ])
+    label, rhs = _TABLE_ZPS.at(ctx)
     return Outcome(s == rhs, s, label, rhs)
 
 
@@ -204,14 +206,16 @@ register(Statement(
 ))
 
 
+_TABLE_3_2 = CaseTable(9, (
+    ("p ≡ ±1 (mod 9)", (1, 8), lambda ctx: 1),
+    ("p ≡ ±2 (mod 9)", (2, 7), lambda ctx: ctx.p - 1),
+    ("p ≡ ±4 (mod 9)", (4, 5), lambda ctx: 0),
+))
+
+
 def _check_thm_3_2(ctx: Ctx, params) -> Outcome:
-    p = ctx.p
     s = ctx.sum_binom(3, 1, 1, 27)
-    label, rhs = dispatch("thm-3.2", p, [
-        ("p ≡ ±1 (mod 9)", p % 9 in (1, 8), lambda: 1),
-        ("p ≡ ±2 (mod 9)", p % 9 in (2, 7), lambda: p - 1),
-        ("p ≡ ±4 (mod 9)", p % 9 in (4, 5), lambda: 0),
-    ])
+    label, rhs = _TABLE_3_2.at(ctx)
     return Outcome(s == rhs, s, label, rhs)
 
 
@@ -294,28 +298,29 @@ register(Statement(
 ))
 
 
+def _mod15_form_rows(ctx: Ctx, lhs_values, ratio_1_15, ratio_5_3):
+    """p = x^2+15y^2 when p ≡ 1,4 (mod 15), else p = 5x^2+3y^2; the value is
+    1 when 3 | y, and (cx x + cy y) / (cden y) with the form's ratio
+    (cx, cy, cden) when 3 | y-x."""
+    if ctx.p % 15 in (1, 4):
+        form, prefix, ratio = QuadForm(1, 0, 15), "p = x^2+15y^2, ", ratio_1_15
+    else:
+        form, prefix, ratio = QuadForm(5, 0, 3), "p = 5x^2+3y^2, ", ratio_5_3
+    cx, cy, cden = ratio
+    rows = [
+        ("3 | y", lambda x, y: y % 3 == 0, lambda x, y: 1),
+        ("3 | y-x", lambda x, y: (y - x) % 3 == 0,
+         lambda x, y: ctx.fr(cx * x + cy * y, cden * y)),
+    ]
+    return _rep_sub_rows(ctx, lhs_values, form, rows, prefix)
+
+
 def _check_thm_3_4(ctx: Ctx, params) -> Outcome:
     p = ctx.p
-    eps = {1: 1, 8: 1, 2: -1, 7: -1, 4: 0, 5: 0}[p % 9]
+    eps = _TABLE_3_2.at(ctx)[1]
     s6 = (2 * ctx.sum_binom(6, 2, 1, 729) - eps) % p
     s3 = ctx.sum_binom(3, 1, -1, 27)
-    if p % 15 in (1, 4):
-        form = QuadForm(1, 0, 15)
-        rows = [
-            ("3 | y", lambda x, y: y % 3 == 0, lambda x, y: 1),
-            ("3 | y-x", lambda x, y: (y - x) % 3 == 0,
-             lambda x, y: ctx.fr(x - 5 * y, 10 * y)),
-        ]
-        prefix = "p = x^2+15y^2, "
-    else:
-        form = QuadForm(5, 0, 3)
-        rows = [
-            ("3 | y", lambda x, y: y % 3 == 0, lambda x, y: 1),
-            ("3 | y-x", lambda x, y: (y - x) % 3 == 0,
-             lambda x, y: ctx.fr(-(x + y), 2 * y)),
-        ]
-        prefix = "p = 5x^2+3y^2, "
-    return _rep_sub_rows(ctx, [s6, s3], form, rows, prefix)
+    return _mod15_form_rows(ctx, [s6, s3], (1, -5, 10), (-1, -1, 2))
 
 
 register(Statement(
@@ -327,25 +332,8 @@ register(Statement(
 
 
 def _check_thm_3_5(ctx: Ctx, params) -> Outcome:
-    p = ctx.p
     s = ctx.sum_binom(3, 1, 1, 3)
-    if p % 15 in (1, 4):
-        form = QuadForm(1, 0, 15)
-        rows = [
-            ("3 | y", lambda x, y: y % 3 == 0, lambda x, y: 1),
-            ("3 | y-x", lambda x, y: (y - x) % 3 == 0,
-             lambda x, y: ctx.fr(-(3 * x + 5 * y), 10 * y)),
-        ]
-        prefix = "p = x^2+15y^2, "
-    else:
-        form = QuadForm(5, 0, 3)
-        rows = [
-            ("3 | y", lambda x, y: y % 3 == 0, lambda x, y: 1),
-            ("3 | y-x", lambda x, y: (y - x) % 3 == 0,
-             lambda x, y: ctx.fr(3 * x - y, 2 * y)),
-        ]
-        prefix = "p = 5x^2+3y^2, "
-    return _rep_sub_rows(ctx, s, form, rows, prefix)
+    return _mod15_form_rows(ctx, s, (-3, -5, 10), (3, -1, 2))
 
 
 register(Statement(

@@ -1,28 +1,33 @@
 """Case tables for truncated sums of C(4k,2k) x^k and C(8k,4k) x^k.
 
 Each register() call pairs an applicability predicate with a check that
-evaluates the sum at one prime and dispatches the matching right-hand row.
-Parameterized statements carry a sampler; the engine draws 20 seeded
-tuples per prime.
+evaluates the sum at one prime and looks up the matching right-hand row,
+mostly in a CaseTable on p mod M.  Parameterized statements carry a
+sampler; the engine draws 20 seeded tuples per prime.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd
 
 from ..binomsum import binom_shift_lemma_check
-from ..errors import CongruenceError, RowDispatchViolationError
-from ..modarith import jacobi, sqrt_mod
+from ..cyclotomic import GaussianInt, quartic_symbol
+from ..errors import (
+    CongruenceError,
+    NotCoprimeError,
+    OutOfRangeError,
+    RowDispatchViolationError,
+)
+from ..modarith import is_prime, jacobi, sqrt_mod
 from ..qform import QuadForm
 from .engine import (
     SAMPLER_RETRIES,
+    CaseTable,
     Ctx,
     Outcome,
     Statement,
     _sign_pow,
-    delta_sign_from_symbol,
-    delta_solve,
-    dispatch,
     register,
 )
 
@@ -93,25 +98,55 @@ def _sample_a_signed(rng, p):
 
 # ------------------------------------------------- alternating sum mod 17
 
-def _check_intro_1_1(ctx: Ctx, params) -> Outcome:
-    p = ctx.p
+def _t17(coef):
+    # coef * 17^[p/4]; [p/4] is (p-1)/4 or (p-3)/4 by the class of p mod 4
+    return lambda ctx: coef * ctx.pw(17, ctx.p // 4) % ctx.p
+
+
+_COMMON_17 = (  # rows of both halves
+    ("p ≡ ±1,±4 (mod 17)", (1, 4, 13, 16), _t17(1)),
+    ("p ≡ ±2,±8 (mod 17)", (2, 8, 9, 15), _t17(-1)),
+)
+_TABLES_2_6 = {  # by p mod 4
+    1: CaseTable(17, _COMMON_17 + (
+        ("p ≡ ±3,±5,±6,±7 (mod 17)", (3, 5, 6, 7, 10, 11, 12, 14), lambda ctx: 0),
+    )),
+    3: CaseTable(17, _COMMON_17 + (
+        ("p ≡ ±3,±5 (mod 17)", (3, 5, 12, 14), _t17(4)),
+        ("p ≡ ±6,±7 (mod 17)", (6, 7, 10, 11), _t17(-4)),
+    )),
+}
+
+
+def _check_thm_2_6(ctx: Ctx, params) -> Outcome:
     s = ctx.sum_binom(4, 2, -1)
-    t = ctx.pw(17, (p - 3) // 4)
-    label, rhs = dispatch("intro-1.1", p, [
-        ("p ≡ ±1,±4 (mod 17)", p % 17 in (1, 4, 13, 16), lambda: t),
-        ("p ≡ ±2,±8 (mod 17)", p % 17 in (2, 8, 9, 15), lambda: -t % p),
-        ("p ≡ ±3,±5 (mod 17)", p % 17 in (3, 5, 12, 14), lambda: 4 * t % p),
-        ("p ≡ ±6,±7 (mod 17)", p % 17 in (6, 7, 10, 11), lambda: -4 * t % p),
-    ])
+    label, rhs = _TABLES_2_6[ctx.p % 4].at(ctx)
     return Outcome(s == rhs, s, label, rhs)
 
 
 register(Statement(
+    id="thm-2.6",
+    status="verified",
+    applies=lambda p: p != 17,
+    check=_check_thm_2_6,
+))
+
+
+# intro-1.1 is the p ≡ 3 (mod 4) half of thm-2.6
+register(Statement(
     id="intro-1.1",
     status="verified",
     applies=lambda p: p % 4 == 3,
-    check=_check_intro_1_1,
+    check=_check_thm_2_6,
 ))
+
+
+def _two_sq_symbol(c, d, a, N):
+    # (c - 4ad | N) over all four sign choices; None when they disagree
+    vals = {jacobi(sc * c - 4 * a * sd * d, N) for sc in (1, -1) for sd in (1, -1)}
+    if len(vals) != 1:
+        return None
+    return vals.pop()
 
 
 def _check_intro_1_2(ctx: Ctx, params) -> Outcome:
@@ -122,12 +157,11 @@ def _check_intro_1_2(ctx: Ctx, params) -> Outcome:
     if ctx.jac(N) == -1:
         return Outcome(s == 0, s, "(16a^2+1|p) = -1", 0)
     c, d = ctx.two_sq()
-    vals = {jacobi(sc * c - 4 * a * sd * d, N) for sc in (1, -1) for sd in (1, -1)}
-    if len(vals) != 1:
-        return Outcome(False, s, "(16a^2+1|p) = 1", sorted(vals),
+    sym = _two_sq_symbol(c, d, a, N)
+    if sym is None:
+        return Outcome(False, s, "(16a^2+1|p) = 1", None,
                        {"c": c, "d": d, "note": "symbol depends on sign choice"})
-    rhs = vals.pop() % p
-    return Outcome(s == rhs, s, "(16a^2+1|p) = 1", rhs, {"c": c, "d": d})
+    return Outcome(s == sym % p, s, "(16a^2+1|p) = 1", sym % p, {"c": c, "d": d})
 
 
 register(Statement(
@@ -142,25 +176,28 @@ register(Statement(
 
 # -------------------------------------------------------- fixed-ratio rows
 
+_RATIO_1_4 = CaseTable(3, (
+    ("p ≡ 1 (mod 3)", (1,), lambda ctx: _sign_pow((ctx.p - 1) // 2) % ctx.p),
+    ("p ≡ 2 (mod 3)", (2,), lambda ctx: 0),
+))
+_RATIO_1_64 = CaseTable(24, (
+    ("ratio 1/64: p ≡ 5,7,17,19 (mod 24)", (5, 7, 17, 19), lambda ctx: 0),
+    ("ratio 1/64: p ≡ 1,23 (mod 24)", (1, 23), lambda ctx: 1),
+    ("ratio 1/64: p ≡ 11,13 (mod 24)", (11, 13), lambda ctx: ctx.p - 1),
+))
+
+
 def _check_cor_2_1(ctx: Ctx, params) -> Outcome:
-    p = ctx.p
     s1 = ctx.sum_binom(4, 2, 1, 16)
     r1 = ctx.fr(ctx.jac(2), 2)
     if s1 != r1:
         return Outcome(False, s1, "ratio 1/16", r1)
     s2 = ctx.sum_binom(4, 2, 1, 4)
-    label2, r2 = dispatch("cor-2.1", p, [
-        ("ratio 1/4: p ≡ 1 (mod 3)", p % 3 == 1, lambda: _sign_pow((p - 1) // 2) % p),
-        ("ratio 1/4: p ≡ 2 (mod 3)", p % 3 == 2, lambda: 0),
-    ])
+    label2, r2 = _RATIO_1_4.at(ctx)
     if s2 != r2:
-        return Outcome(False, s2, label2, r2)
+        return Outcome(False, s2, "ratio 1/4: " + label2, r2)
     s3 = ctx.sum_binom(4, 2, 1, 64)
-    label3, r3 = dispatch("cor-2.1", p, [
-        ("ratio 1/64: p ≡ 5,7,17,19 (mod 24)", p % 24 in (5, 7, 17, 19), lambda: 0),
-        ("ratio 1/64: p ≡ 1,23 (mod 24)", p % 24 in (1, 23), lambda: 1),
-        ("ratio 1/64: p ≡ 11,13 (mod 24)", p % 24 in (11, 13), lambda: p - 1),
-    ])
+    label3, r3 = _RATIO_1_64.at(ctx)
     return Outcome(s3 == r3, s3, label3, r3)
 
 
@@ -271,18 +308,20 @@ register(Statement(
 ))
 
 
+_TABLE_2_4 = CaseTable(8, (
+    ("p ≡ 1 (mod 8)", (1,),
+     lambda ctx: _sign_pow((ctx.p - 1) // 8) * ctx.pw(2, (ctx.p - 1) // 4) % ctx.p),
+    ("p ≡ 3 (mod 8)", (3,),
+     lambda ctx: _sign_pow((ctx.p - 3) // 8) * ctx.pw(2, (ctx.p - 3) // 4) % ctx.p),
+    ("p ≡ 5 (mod 8)", (5,), lambda ctx: 0),
+    ("p ≡ 7 (mod 8)", (7,),
+     lambda ctx: _sign_pow((ctx.p + 1) // 8) * ctx.pw(2, (ctx.p - 3) // 4) % ctx.p),
+))
+
+
 def _check_thm_2_4(ctx: Ctx, params) -> Outcome:
-    p = ctx.p
     s = ctx.sum_binom(4, 2, -1, 16)
-    label, rhs = dispatch("thm-2.4", p, [
-        ("p ≡ 1 (mod 8)", p % 8 == 1,
-         lambda: _sign_pow((p - 1) // 8) * ctx.pw(2, (p - 1) // 4) % p),
-        ("p ≡ 3 (mod 8)", p % 8 == 3,
-         lambda: _sign_pow((p - 3) // 8) * ctx.pw(2, (p - 3) // 4) % p),
-        ("p ≡ 5 (mod 8)", p % 8 == 5, lambda: 0),
-        ("p ≡ 7 (mod 8)", p % 8 == 7,
-         lambda: _sign_pow((p + 1) // 8) * ctx.pw(2, (p - 3) // 4) % p),
-    ])
+    label, rhs = _TABLE_2_4.at(ctx)
     return Outcome(s == rhs, s, label, rhs)
 
 
@@ -294,27 +333,33 @@ register(Statement(
 ))
 
 
+def _t5(coef):
+    # coef * (-1)^[(p+5)/10] * 5^[p/4]
+    return lambda ctx: (coef * _sign_pow((ctx.p + 5) // 10) * ctx.pw(5, ctx.p // 4)
+                        % ctx.p)
+
+
+_TABLES_2_5 = (
+    CaseTable(20, (
+        ("ratio -1/64: p ≡ 1,3,7,9 (mod 20)", (1, 3, 7, 9), _t5(1)),
+        ("ratio -1/64: p ≡ 11,19 (mod 20)", (11, 19), _t5(2)),
+        ("ratio -1/64: p ≡ 13,17 (mod 20)", (13, 17), lambda ctx: 0),
+    )),
+    CaseTable(20, (
+        ("ratio -1/4: p ≡ 1,9,11,19 (mod 20)", (1, 9, 11, 19), _t5(1)),
+        ("ratio -1/4: p ≡ 3,7 (mod 20)", (3, 7), _t5(-2)),
+        ("ratio -1/4: p ≡ 13,17 (mod 20)", (13, 17), lambda ctx: 0),
+    )),
+)
+
+
 def _check_thm_2_5(ctx: Ctx, params) -> Outcome:
-    p = ctx.p
-    sign = _sign_pow((p + 5) // 10)
     s1 = ctx.sum_binom(4, 2, -1, 64)
-    label1, r1 = dispatch("thm-2.5", p, [
-        ("ratio -1/64: p ≡ 1,3,7,9 (mod 20)", p % 20 in (1, 3, 7, 9),
-         lambda: sign * ctx.pw(5, p // 4) % p),
-        ("ratio -1/64: p ≡ 11,19 (mod 20)", p % 20 in (11, 19),
-         lambda: 2 * sign * ctx.pw(5, (p - 3) // 4) % p),
-        ("ratio -1/64: p ≡ 13,17 (mod 20)", p % 20 in (13, 17), lambda: 0),
-    ])
+    label1, r1 = _TABLES_2_5[0].at(ctx)
     if s1 != r1:
         return Outcome(False, s1, label1, r1)
     s2 = ctx.sum_binom(4, 2, -1, 4)
-    label2, r2 = dispatch("thm-2.5", p, [
-        ("ratio -1/4: p ≡ 1,9,11,19 (mod 20)", p % 20 in (1, 9, 11, 19),
-         lambda: sign * ctx.pw(5, p // 4) % p),
-        ("ratio -1/4: p ≡ 3,7 (mod 20)", p % 20 in (3, 7),
-         lambda: -2 * sign * ctx.pw(5, (p - 3) // 4) % p),
-        ("ratio -1/4: p ≡ 13,17 (mod 20)", p % 20 in (13, 17), lambda: 0),
-    ])
+    label2, r2 = _TABLES_2_5[1].at(ctx)
     return Outcome(s2 == r2, s2, label2, r2)
 
 
@@ -326,61 +371,24 @@ register(Statement(
 ))
 
 
-def _check_thm_2_6(ctx: Ctx, params) -> Outcome:
-    p = ctx.p
-    s = ctx.sum_binom(4, 2, -1)
-    r = p % 17
-    if p % 4 == 1:
-        t = ctx.pw(17, (p - 1) // 4)
-        rows = [
-            ("p ≡ ±3,±5,±6,±7 (mod 17)", r in (3, 5, 6, 7, 10, 11, 12, 14), lambda: 0),
-            ("p ≡ ±1,±4 (mod 17)", r in (1, 4, 13, 16), lambda: t),
-            ("p ≡ ±2,±8 (mod 17)", r in (2, 8, 9, 15), lambda: -t % p),
-        ]
-    else:
-        t = ctx.pw(17, (p - 3) // 4)
-        rows = [
-            ("p ≡ ±1,±4 (mod 17)", r in (1, 4, 13, 16), lambda: t),
-            ("p ≡ ±2,±8 (mod 17)", r in (2, 8, 9, 15), lambda: -t % p),
-            ("p ≡ ±3,±5 (mod 17)", r in (3, 5, 12, 14), lambda: 4 * t % p),
-            ("p ≡ ±6,±7 (mod 17)", r in (6, 7, 10, 11), lambda: -4 * t % p),
-        ]
-    label, rhs = dispatch("thm-2.6", p, rows)
-    return Outcome(s == rhs, s, label, rhs)
-
-
-register(Statement(
-    id="thm-2.6",
-    status="verified",
-    applies=lambda p: p != 17,
-    check=_check_thm_2_6,
+_TABLE_2_7 = CaseTable(52, tuple(
+    # coef * 13^[p/4]
+    (label, classes, lambda ctx, coef=coef: coef * ctx.pw(13, ctx.p // 4) % ctx.p)
+    for label, classes, coef in (
+        ("p ≡ 1,9,29 (mod 52)", (1, 9, 29), 1),
+        ("p ≡ 17,25,49 (mod 52)", (17, 25, 49), -1),
+        ("p ≡ 23,43,51 (mod 52)", (23, 43, 51), 3),
+        ("p ≡ 3,27,35 (mod 52)", (3, 27, 35), -3),
+        ("p ≡ 5,21,33,37,41,45 (mod 52)", (5, 21, 33, 37, 41, 45), 0),
+        ("p ≡ 7,11,47 (mod 52)", (7, 11, 47), 2),
+        ("p ≡ 15,19,31 (mod 52)", (15, 19, 31), -2),
+    )
 ))
 
 
-_ROWS_2_7 = (
-    ("p ≡ 1,9,29 (mod 52)", (1, 9, 29), 1, 1),
-    ("p ≡ 17,25,49 (mod 52)", (17, 25, 49), 1, -1),
-    ("p ≡ 23,43,51 (mod 52)", (23, 43, 51), 3, 3),
-    ("p ≡ 3,27,35 (mod 52)", (3, 27, 35), 3, -3),
-    ("p ≡ 5,21,33,37,41,45 (mod 52)", (5, 21, 33, 37, 41, 45), 0, 0),
-    ("p ≡ 7,11,47 (mod 52)", (7, 11, 47), 3, 2),
-    ("p ≡ 15,19,31 (mod 52)", (15, 19, 31), 3, -2),
-)
-
-
 def _check_thm_2_7(ctx: Ctx, params) -> Outcome:
-    p = ctx.p
-    s = ctx.jac(3) * ctx.sum_binom(4, 2, -1, 36) % p
-    r = p % 52
-
-    def value(shift, coef):
-        if coef == 0:
-            return 0
-        return coef * ctx.pw(13, (p - shift) // 4) % p
-
-    rows = [(label, r in classes, lambda shift=shift, coef=coef: value(shift, coef))
-            for label, classes, shift, coef in _ROWS_2_7]
-    label, rhs = dispatch("thm-2.7", p, rows)
+    s = ctx.jac(3) * ctx.sum_binom(4, 2, -1, 36) % ctx.p
+    label, rhs = _TABLE_2_7.at(ctx)
     return Outcome(s == rhs, s, label, rhs)
 
 
@@ -452,14 +460,16 @@ register(Statement(
 ))
 
 
+_TABLE_2_2_MOD15 = CaseTable(15, (
+    ("p ≡ 7,11,13,14 (mod 15)", (7, 11, 13, 14), lambda ctx: 0),
+    ("p ≡ 1,4 (mod 15)", (1, 4), lambda ctx: 1),
+    ("p ≡ 2,8 (mod 15)", (2, 8), lambda ctx: ctx.p - 1),
+))
+
+
 def _check_cor_2_2_mod15(ctx: Ctx, params) -> Outcome:
-    p = ctx.p
     s = ctx.sum_binom(4, 2, 1)
-    label, rhs = dispatch("cor-2.2-mod15", p, [
-        ("p ≡ 7,11,13,14 (mod 15)", p % 15 in (7, 11, 13, 14), lambda: 0),
-        ("p ≡ 1,4 (mod 15)", p % 15 in (1, 4), lambda: 1),
-        ("p ≡ 2,8 (mod 15)", p % 15 in (2, 8), lambda: p - 1),
-    ])
+    label, rhs = _TABLE_2_2_MOD15.at(ctx)
     return Outcome(s == rhs, s, label, rhs)
 
 
@@ -471,13 +481,15 @@ register(Statement(
 ))
 
 
+_TABLE_COR_2_3 = CaseTable(7, (
+    ("p ≡ 1,2,4 (mod 7)", (1, 2, 4), lambda ctx: 1),
+    ("p ≡ 3,5,6 (mod 7)", (3, 5, 6), lambda ctx: 0),
+))
+
+
 def _check_cor_2_3(ctx: Ctx, params) -> Outcome:
-    p = ctx.p
     s = ctx.sum_binom(4, 2, 4)
-    label, rhs = dispatch("cor-2.3", p, [
-        ("p ≡ 1,2,4 (mod 7)", p % 7 in (1, 2, 4), lambda: 1),
-        ("p ≡ 3,5,6 (mod 7)", p % 7 in (3, 5, 6), lambda: 0),
-    ])
+    label, rhs = _TABLE_COR_2_3.at(ctx)
     return Outcome(s == rhs, s, label, rhs)
 
 
@@ -490,12 +502,8 @@ register(Statement(
 
 
 def _check_cor_2_4(ctx: Ctx, params) -> Outcome:
-    p = ctx.p
     s = ctx.sum_binom(4, 2, 1, 4)
-    label, rhs = dispatch("cor-2.4", p, [
-        ("p ≡ 1 (mod 3)", p % 3 == 1, lambda: _sign_pow((p - 1) // 2) % p),
-        ("p ≡ 2 (mod 3)", p % 3 == 2, lambda: 0),
-    ])
+    label, rhs = _RATIO_1_4.at(ctx)
     return Outcome(s == rhs, s, label, rhs)
 
 
@@ -508,14 +516,6 @@ register(Statement(
 
 
 # ---------------------------------------------- two-squares symbol tables
-
-def _two_sq_symbol(c, d, a, N):
-    # (c - 4ad | N) over all four sign choices; None when they disagree
-    vals = {jacobi(sc * c - 4 * a * sd * d, N) for sc in (1, -1) for sd in (1, -1)}
-    if len(vals) != 1:
-        return None
-    return vals.pop()
-
 
 def _thm_2_10_value(ctx: Ctx, b, m, c, d):
     p = ctx.p
@@ -581,6 +581,107 @@ register(Statement(
 ))
 
 
+# ------------------------------------------------ quartic-sign displays
+
+@dataclass(frozen=True)
+class DeltaP:
+    sign: int
+    derivation: str
+
+
+def _delta_display_rows(b: int, m: int, p: int) -> tuple:
+    """Row shape of the two quartic-sign displays at p.
+
+    Each display claims lhs == coeff * sign * N^e mod p with N = b^2 + 4m^2;
+    coeff 0 encodes the rows whose value is plain zero.  Returns
+    (sym, e, npow, (coeff_first, coeff_second), row_label).
+    """
+    N = b * b + 4 * m * m
+    sym = jacobi(N, p)
+    if p % 4 == 1:
+        e = (p - 1) // 4
+        coeffs = (1, 1) if sym == 1 else (0, 0)
+        label = f"4 | p-1, (N|p) = {sym}"
+    else:
+        e = (p - 3) // 4
+        coeffs = (b, 2 * m) if sym == 1 else (2 * m, -b)
+        label = f"4 | p-3, (N|p) = {sym}"
+    return sym, e, pow(N % p, e, p), coeffs, label
+
+
+def delta_solve(b: int, m: int, ctx: Ctx) -> dict:
+    """Solve both displays for the sign; None when the zero rows fire.
+
+    first display: (b|p) sum C(4k,2k) (-m^2/4b^2)^k;
+    second display: (m|p) sum C(4k,2k) (-b^2/64m^2)^k.
+    """
+    p = ctx.p
+    first = ctx.jac(b) * ctx.sum_binom(4, 2, -m * m, 4 * b * b) % p
+    second = ctx.jac(m) * ctx.sum_binom(4, 2, -b * b, 64 * m * m) % p
+    sym, e, npow, coeffs, label = _delta_display_rows(b, m, p)
+    data = {
+        "sym": sym,
+        "lhs": [first, second],
+        "row": label,
+        "consistent": True,
+        "delta": None,
+    }
+    if coeffs == (0, 0):
+        data["consistent"] = first == 0 and second == 0
+        data["rhs"] = [0, 0]
+        return data
+    d1 = first * ctx.inv(coeffs[0] * npow) % p
+    d2 = second * ctx.inv(coeffs[1] * npow) % p
+    signs = {1: 1, p - 1: -1}
+    if d1 not in signs or d1 != d2:
+        data["consistent"] = False
+        data["rhs"] = [d1, d2]
+        return data
+    data["delta"] = signs[d1]
+    data["rhs"] = [
+        coeffs[0] % p * signs[d1] % p * npow % p,
+        coeffs[1] % p * signs[d1] % p * npow % p,
+    ]
+    return data
+
+
+def delta_sign_from_symbol(b: int, m: int, p: int) -> int:
+    """The sign given by the quartic-symbol formula (times i when
+    (b^2+4m^2|p) = -1).  Raises when the symbol lands off the real axis."""
+    sym = jacobi(b * b + 4 * m * m, p)
+    e = quartic_symbol(GaussianInt(b, 2 * m), p).exponent
+    if sym == -1:
+        e = (e + 1) % 4
+    if e == 0:
+        return 1
+    if e == 2:
+        return -1
+    raise CongruenceError(
+        f"quartic symbol route gives i^{e}, not a real unit, at p={p}"
+    )
+
+
+def delta_p(b: int, m: int, p: int) -> tuple[DeltaP | None, DeltaP]:
+    """The unit sign of the quartic-sign displays, both derivations.
+
+    The congruence derivation is None exactly when p = 1 mod 4 and
+    (b^2+4m^2|p) = -1: both displays are then plain zero and carry no sign
+    information (the zero rows are still asserted)."""
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise OutOfRangeError(f"p must be an odd prime, got {p}")
+    if (b * m * (b * b + 4 * m * m)) % p == 0:
+        raise NotCoprimeError(f"p={p} divides b*m*(b^2+4m^2) for b={b}, m={m}")
+    data = delta_solve(b, m, Ctx(p))
+    if not data["consistent"]:
+        raise CongruenceError(
+            f"displays do not determine a unit sign at p={p}: {data}"
+        )
+    from_symbol = DeltaP(delta_sign_from_symbol(b, m, p), "from-quartic-symbol")
+    if data["delta"] is None:
+        return None, from_symbol
+    return DeltaP(data["delta"], "from-congruence"), from_symbol
+
+
 def _check_thm_2_11(ctx: Ctx, params) -> Outcome:
     p = ctx.p
     b, m = params["b"], params["m"]
@@ -615,23 +716,16 @@ def _check_thm_2_12(ctx: Ctx, params) -> Outcome:
     lhs = 2 * ctx.sum_binom(8, 4, ctx.pw(a, 4), upper=p // 8) % p
     s1 = ctx.jac(1 - 16 * a * a)
     s2 = ctx.jac(1 + 16 * a * a)
+    if 0 in (s1, s2):
+        raise RowDispatchViolationError(f"thm-2.12 at p={p}: no row fires for a={a}")
     sym = None
     if s2 == 1:
         c, d = ctx.two_sq()
         sym = _two_sq_symbol(c, d, a, 16 * a * a + 1)
         if sym is None:
             return Outcome(False, lhs, "(c-4ad|16a^2+1)", None, {"c": c, "d": d})
-    label, rhs = dispatch("thm-2.12", p, [
-        ("(1-16a^2|p) = 1, (1+16a^2|p) = 1", s1 == 1 and s2 == 1,
-         lambda: (ctx.jac(1 - 4 * a) + sym) % p),
-        ("(1-16a^2|p) = 1, (1+16a^2|p) = -1", s1 == 1 and s2 == -1,
-         lambda: ctx.jac(1 - 4 * a) % p),
-        ("(1-16a^2|p) = -1, (1+16a^2|p) = 1", s1 == -1 and s2 == 1,
-         lambda: sym % p),
-        ("(1-16a^2|p) = -1, (1+16a^2|p) = -1", s1 == -1 and s2 == -1,
-         lambda: 0),
-    ])
-    return Outcome(lhs == rhs, lhs, label, rhs)
+    rhs = ((ctx.jac(1 - 4 * a) if s1 == 1 else 0) + (sym if s2 == 1 else 0)) % p
+    return Outcome(lhs == rhs, lhs, f"(1-16a^2|p) = {s1}, (1+16a^2|p) = {s2}", rhs)
 
 
 register(Statement(
@@ -656,17 +750,8 @@ def _check_cor_2_7(ctx: Ctx, params) -> Outcome:
         sym = _two_sq_symbol(c, d, 1, 17)
         if sym is None:
             return Outcome(False, lhs, "(c-4d|17)", None, {"c": c, "d": d})
-    label, rhs = dispatch("cor-2.7", p, [
-        ("(p|15) = 1, (p|17) = 1", s15 == 1 and s17 == 1,
-         lambda: (jacobi(p, 3) + sym) % p),
-        ("(p|15) = 1, (p|17) = -1", s15 == 1 and s17 == -1,
-         lambda: jacobi(p, 3) % p),
-        ("(p|15) = -1, (p|17) = 1", s15 == -1 and s17 == 1,
-         lambda: sym % p),
-        ("(p|15) = -1, (p|17) = -1", s15 == -1 and s17 == -1,
-         lambda: 0),
-    ])
-    return Outcome(lhs == rhs, lhs, label, rhs)
+    rhs = ((jacobi(p, 3) if s15 == 1 else 0) + (sym if s17 == 1 else 0)) % p
+    return Outcome(lhs == rhs, lhs, f"(p|15) = {s15}, (p|17) = {s17}", rhs)
 
 
 register(Statement(

@@ -17,7 +17,7 @@ from ..combsum import (
     t_sum_exact,
     t0_closed,
 )
-from .engine import Ctx, Outcome, Statement, _sign_pow, dispatch, register
+from .engine import CaseTable, Ctx, Outcome, Statement, _sign_pow, register
 
 
 def _check_intro_1_4(ctx: Ctx, params) -> Outcome:
@@ -35,15 +35,17 @@ register(Statement(
 ))
 
 
+_TABLE_4_1 = CaseTable(3, tuple(
+    # (e1 + c e2) / 3 with e1 = (-1)^[(p+1)/4], e2 = (-1)^((p-1)/2)
+    (f"p ≡ {r} (mod 3)", (r,), lambda ctx, c=c: ctx.fr(
+        _sign_pow((ctx.p + 1) // 4) + c * _sign_pow((ctx.p - 1) // 2), 3))
+    for r, c in ((1, 2), (2, -1))
+))
+
+
 def _check_thm_4_1(ctx: Ctx, params) -> Outcome:
-    p = ctx.p
     s = ctx.sum_binom(6, 3, -1, 64)
-    e1 = _sign_pow((p + 1) // 4)
-    e2 = _sign_pow((p - 1) // 2)
-    label, rhs = dispatch("thm-4.1", p, [
-        ("p ≡ 1 (mod 3)", p % 3 == 1, lambda: ctx.fr(e1 + 2 * e2, 3)),
-        ("p ≡ 2 (mod 3)", p % 3 == 2, lambda: ctx.fr(e1 - e2, 3)),
-    ])
+    label, rhs = _TABLE_4_1.at(ctx)
     return Outcome(s == rhs, s, label, rhs)
 
 
@@ -55,18 +57,20 @@ register(Statement(
 ))
 
 
+_TABLE_4_2 = CaseTable(8, (
+    ("p ≡ 1 (mod 8)", (1,), lambda ctx: (
+        1 + _sign_pow((ctx.p - 1) // 8) * ctx.pw(2, (ctx.p + 3) // 4)) % ctx.p),
+    ("p ≡ 3 (mod 8)", (3,), lambda ctx: (
+        -1 + _sign_pow((ctx.p - 3) // 8) * ctx.pw(2, (ctx.p + 1) // 4)) % ctx.p),
+    ("p ≡ 5 (mod 8)", (5,), lambda ctx: ctx.p - 1),
+    ("p ≡ 7 (mod 8)", (7,), lambda ctx: (
+        1 - _sign_pow((ctx.p - 7) // 8) * ctx.pw(2, (ctx.p + 1) // 4)) % ctx.p),
+))
+
+
 def _check_thm_4_2(ctx: Ctx, params) -> Outcome:
-    p = ctx.p
-    s = 4 * ctx.sum_binom(8, 4, 1, 256, upper=p // 8) % p
-    label, rhs = dispatch("thm-4.2", p, [
-        ("p ≡ 1 (mod 8)", p % 8 == 1,
-         lambda: (1 + _sign_pow((p - 1) // 8) * ctx.pw(2, (p + 3) // 4)) % p),
-        ("p ≡ 3 (mod 8)", p % 8 == 3,
-         lambda: (-1 + _sign_pow((p - 3) // 8) * ctx.pw(2, (p + 1) // 4)) % p),
-        ("p ≡ 5 (mod 8)", p % 8 == 5, lambda: p - 1),
-        ("p ≡ 7 (mod 8)", p % 8 == 7,
-         lambda: (1 - _sign_pow((p - 7) // 8) * ctx.pw(2, (p + 1) // 4)) % p),
-    ])
+    s = 4 * ctx.sum_binom(8, 4, 1, 256, upper=ctx.p // 8) % ctx.p
+    label, rhs = _TABLE_4_2.at(ctx)
     return Outcome(s == rhs, s, label, rhs)
 
 
@@ -78,21 +82,18 @@ register(Statement(
 ))
 
 
+_TABLE_4_3 = CaseTable(24, tuple(
+    # c0 + c1 t with t = 3^[(p+1)/4], i.e. 3^((p-1)/4) or 3^((p+1)/4) by p mod 4
+    (f"p ≡ {r} (mod 24)", (r,),
+     lambda ctx, c0=c0, c1=c1: (c0 + c1 * ctx.pw(3, (ctx.p + 1) // 4)) % ctx.p)
+    for r, c0, c1 in ((1, 3, 2), (5, -2, 1), (7, -1, 0), (11, 0, -1),
+                      (13, 1, -2), (17, 0, -1), (19, -3, 0), (23, 2, 1))
+))
+
+
 def _check_thm_4_3(ctx: Ctx, params) -> Outcome:
-    p = ctx.p
-    s = 6 * ctx.sum_binom(12, 6, 1, 4096, upper=p // 12) % p
-    t1 = lambda: ctx.pw(3, (p - 1) // 4)
-    t3 = lambda: ctx.pw(3, (p + 1) // 4)
-    label, rhs = dispatch("thm-4.3", p, [
-        ("p ≡ 1 (mod 24)", p % 24 == 1, lambda: (2 * t1() + 3) % p),
-        ("p ≡ 5 (mod 24)", p % 24 == 5, lambda: (t1() - 2) % p),
-        ("p ≡ 7 (mod 24)", p % 24 == 7, lambda: p - 1),
-        ("p ≡ 11 (mod 24)", p % 24 == 11, lambda: -t3() % p),
-        ("p ≡ 13 (mod 24)", p % 24 == 13, lambda: (1 - 2 * t1()) % p),
-        ("p ≡ 17 (mod 24)", p % 24 == 17, lambda: -t1() % p),
-        ("p ≡ 19 (mod 24)", p % 24 == 19, lambda: p - 3),
-        ("p ≡ 23 (mod 24)", p % 24 == 23, lambda: (2 + t3()) % p),
-    ])
+    s = 6 * ctx.sum_binom(12, 6, 1, 4096, upper=ctx.p // 12) % ctx.p
+    label, rhs = _TABLE_4_3.at(ctx)
     return Outcome(s == rhs, s, label, rhs)
 
 
@@ -107,22 +108,19 @@ register(Statement(
 ))
 
 
+_TABLE_4_4 = CaseTable(20, tuple(
+    # coef * 5^[(p+1)/4], i.e. 5^((p-1)/4) or 5^((p+1)/4) by p mod 4
+    (f"p ≡ {r} (mod 20)", (r,),
+     lambda ctx, coef=coef: coef * ctx.pw(5, (ctx.p + 1) // 4) % ctx.p)
+    for r, coef in ((1, 4), (3, 2), (7, 1), (9, 1), (11, -1), (13, -2), (17, 3), (19, -1))
+))
+
+
 def _check_thm_4_4(ctx: Ctx, params) -> Outcome:
     p = ctx.p
     lhs = (5 * ctx.sum_binom(10, 5, -1, 1024, upper=p // 10)
            - _sign_pow((p + 1) // 4)) % p
-    a = lambda: ctx.pw(5, (p - 1) // 4)
-    b = lambda: ctx.pw(5, (p + 1) // 4)
-    label, rhs = dispatch("thm-4.4", p, [
-        ("p ≡ 1 (mod 20)", p % 20 == 1, lambda: 4 * a() % p),
-        ("p ≡ 3 (mod 20)", p % 20 == 3, lambda: 2 * b() % p),
-        ("p ≡ 7 (mod 20)", p % 20 == 7, lambda: b()),
-        ("p ≡ 9 (mod 20)", p % 20 == 9, lambda: a()),
-        ("p ≡ 11 (mod 20)", p % 20 == 11, lambda: -b() % p),
-        ("p ≡ 13 (mod 20)", p % 20 == 13, lambda: -2 * a() % p),
-        ("p ≡ 17 (mod 20)", p % 20 == 17, lambda: 3 * a() % p),
-        ("p ≡ 19 (mod 20)", p % 20 == 19, lambda: -b() % p),
-    ])
+    label, rhs = _TABLE_4_4.at(ctx)
     return Outcome(lhs == rhs, lhs, label, rhs)
 
 

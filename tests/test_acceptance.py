@@ -97,8 +97,10 @@ def test_criterion_2_oracle_equivalence_sampled(capfd):
 
 
 def test_criterion_3_form_rows_to_1e4_with_totality(capfd):
-    # row totality is enforced inside dispatch(): a prime matching zero or
-    # two case rows raises RowDispatchViolationError and would surface here
+    # the p mod M tables are proved total when the registry is imported; the
+    # form-class and representation sub-rows are still checked per prime,
+    # and a prime matching zero or two of them raises
+    # RowDispatchViolationError, which would surface here
     with _gate(capfd, 3, "form-classified families: 0 failures and total rows to 10^4"):
         reports = verify_many(_FORM_ROW_IDS, 10_000, jobs=4)
         bad = [(r.id, r.failed) for r in reports if r.failed]

@@ -37,6 +37,11 @@ def test_tables_diag_and_guard():
     assert t.diag(4, 2, 25) == [math.comb(4 * k, 2 * k) % 103 for k in range(26)]
     with pytest.raises(OutOfRangeError):
         t.diag(4, 2, 26)
+    t7 = mod_tables(7)
+    with pytest.raises(OutOfRangeError):
+        t7.binom(7, 2)
+    assert t7.binom(3, 5) == 0
+    assert t7.binom_general(7, 2) == 0
 
 
 def test_mod_tables_cached():

@@ -126,6 +126,16 @@ def test_compute_sum_bad_input_errors(capsys, extra):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["represent", "--form", "1,0", "--prime", "13"], id="form-too-short"),
+    pytest.param(["compute", "symbol", "--kind", "cubic", "--top", "x", "--bottom", "7"],
+                 id="top-not-integer"),
+])
+def test_malformed_input_errors(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_as_subprocess_matches_in_process():
     proc = run_cli("compute", "tsum", "--n", "4", "--m", "3", "--r", "0")
     assert proc.returncode == 0

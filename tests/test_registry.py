@@ -1,4 +1,4 @@
-"""Statement registry: verdicts, reports, determinism, dispatch."""
+"""Statement registry: verdicts, reports, determinism, case tables."""
 
 import json
 
@@ -14,8 +14,8 @@ from congrkit.registry import (
     verify_many,
     verify_range,
 )
-from congrkit.registry import engine
-from congrkit.registry.engine import dispatch
+from congrkit.registry import Ctx, engine
+from congrkit.registry.engine import CaseTable
 from congrkit.errors import RowDispatchViolationError
 
 
@@ -143,13 +143,21 @@ def test_seed_changes_sampled_parameters_not_verdicts():
     assert a.checked == b.checked
 
 
-def test_dispatch_requires_exactly_one_row():
-    with pytest.raises(RowDispatchViolationError):
-        dispatch("x", 7, [("a", False, lambda: 1), ("b", False, lambda: 2)])
-    with pytest.raises(RowDispatchViolationError):
-        dispatch("x", 7, [("a", True, lambda: 1), ("b", True, lambda: 2)])
-    assert dispatch("x", 7, [("a", True, lambda: 1), ("b", False, lambda: 2)]) \
-        == ("a", 1)
+def test_case_table_partitions_units():
+    rows = (("p ≡ ±1 (mod 8)", (1, -1), lambda ctx: 1),
+            ("p ≡ ±3 (mod 8)", (3, 5), lambda ctx: ctx.p - 1))
+    table = CaseTable(8, rows)
+    assert table.at(Ctx(7)) == ("p ≡ ±1 (mod 8)", 1)
+    assert table.at(Ctx(11)) == ("p ≡ ±3 (mod 8)", 10)
+    with pytest.raises(RowDispatchViolationError, match="class 7"):
+        CaseTable(8, rows + (("again", (7,), lambda ctx: 0),))
+    with pytest.raises(RowDispatchViolationError, match=r"units \[3\]"):
+        CaseTable(8, (rows[0], ("p ≡ 5 (mod 8)", (5,), lambda ctx: 0)))
+    with pytest.raises(RowDispatchViolationError, match="non-unit 4"):
+        CaseTable(8, rows + (("even", (4,), lambda ctx: 0),))
+    mod3 = CaseTable(3, (("1", (1,), lambda ctx: 1), ("2", (2,), lambda ctx: 0)))
+    with pytest.raises(RowDispatchViolationError, match="divides the modulus"):
+        mod3.at(Ctx(3))
 
 
 def test_cubic_roots_examples():
