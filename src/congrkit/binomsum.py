@@ -13,6 +13,10 @@ from functools import lru_cache
 from .errors import OutOfRangeError
 from .modarith import inv_mod
 
+# Largest prime ModTables accepts.  Its two size-p tables take about 100 MB
+# at p = 10^6 and grow linearly with p.
+TABLE_PRIME_LIMIT = 2_000_000
+
 
 class ModTables:
     """Factorial and inverse-factorial tables for one odd prime."""
@@ -20,6 +24,9 @@ class ModTables:
     __slots__ = ("p", "fact", "inv_fact", "_diag")
 
     def __init__(self, p: int):
+        if p > TABLE_PRIME_LIMIT:
+            raise OutOfRangeError(
+                f"tables are built for p <= {TABLE_PRIME_LIMIT}, got p = {p}")
         self.p = p
         fact = [1] * p
         f = 1

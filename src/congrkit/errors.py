@@ -65,5 +65,9 @@ class UnknownIdError(CongruenceError):
     """Statement id not present in the registry."""
 
 
+class InvalidParametersError(CongruenceError):
+    """Explicit statement parameters that are malformed or not taken."""
+
+
 class RowDispatchViolationError(CongruenceError):
     """Zero or several case-table rows fired for an applicable prime."""

@@ -42,7 +42,7 @@ def lucas_uv_exact(P: int, Q: int, n: int) -> tuple[int, int]:
     if n > EXACT_INDEX_LIMIT:
         raise IndexTooLargeError(f"exact Lucas values guarded to n <= {EXACT_INDEX_LIMIT}")
     if n < 0:
-        raise ValueError("index must be non-negative")
+        raise OutOfRangeError(f"Lucas index must be non-negative, got {n}")
     u0, u1 = 0, 1
     v0, v1 = 2, P
     for _ in range(n):

@@ -1,8 +1,9 @@
 """Statement registry and verification engine.
 
 Each registered statement couples an applicability predicate over odd
-primes, an optional parameter sampler, and a check routine that evaluates
-the claimed congruence at one prime.  The engine runs statements over
+primes, a check routine that evaluates the claimed congruence at one prime
+and, for statements over parameter tuples, the tuple hypothesis with a
+sampler drawing tuples that satisfy it.  The engine runs statements over
 prime ranges, shards the work across processes when asked, and merges
 everything back into reports whose JSON form is byte-stable across job
 counts and runs.
@@ -18,8 +19,13 @@ from math import gcd
 from multiprocessing import get_context
 from typing import Any, Callable
 
-from ..binomsum import mod_tables
-from ..errors import OutOfRangeError, RowDispatchViolationError, UnknownIdError
+from ..binomsum import TABLE_PRIME_LIMIT, mod_tables
+from ..errors import (
+    InvalidParametersError,
+    OutOfRangeError,
+    RowDispatchViolationError,
+    UnknownIdError,
+)
 from ..lucas import uv_mod
 from ..modarith import inv_mod, is_prime, jacobi, sieve_primes
 from ..qform import ClassMatch, QuadForm, classify_by_class, represent, two_squares
@@ -114,6 +120,8 @@ class Statement:
     applies: Callable[[int], bool]
     check: Callable[[Ctx, dict | None], Outcome]
     sampler: Callable[[random.Random, int], dict | None] | None = None
+    # (params, p) -> whether the tuple satisfies the statement's hypothesis
+    hypothesis: Callable[[dict, int], bool] | None = None
     notes: str = ""
 
 
@@ -159,6 +167,8 @@ REGISTRY: dict[str, Statement] = {}
 def register(stmt: Statement) -> Statement:
     if stmt.id in REGISTRY:
         raise ValueError(f"duplicate statement id {stmt.id}")
+    if (stmt.sampler is None) != (stmt.hypothesis is None):
+        raise ValueError(f"{stmt.id}: a sampler needs a hypothesis and vice versa")
     REGISTRY[stmt.id] = stmt
     return stmt
 
@@ -216,6 +226,31 @@ class CaseTable:
         return row[0], row[2](ctx)
 
 
+def row_check(lhs: Callable[[Ctx], int], table: CaseTable) -> Callable:
+    """The check comparing lhs(ctx) with the value of table's row at ctx.p."""
+
+    def check(ctx: Ctx, params) -> Outcome:
+        s = lhs(ctx)
+        label, rhs = table.at(ctx)
+        return Outcome(s == rhs, s, label, rhs)
+
+    return check
+
+
+def rejection_sampler(draw: Callable, hypothesis: Callable) -> Callable:
+    """Sampler returning the first of up to SAMPLER_RETRIES draw(rng, p)
+    that hypothesis(params, p) admits, or None when none does."""
+
+    def sampler(rng: random.Random, p: int) -> dict | None:
+        for _ in range(SAMPLER_RETRIES):
+            params = draw(rng, p)
+            if hypothesis(params, p):
+                return params
+        return None
+
+    return sampler
+
+
 def _sign_pow(e: int) -> int:
     return -1 if e % 2 else 1
 
@@ -231,77 +266,86 @@ def _failure(p: int, params: dict | None, out: Outcome) -> dict:
     }
 
 
-def _prime_result(stmt: Statement, ctx: Ctx, seed: int) -> tuple[bool, dict | None]:
-    """(applicable, first failure or None) for one statement at ctx.p."""
-    p = ctx.p
+def _admits(stmt: Statement, params: dict, p: int) -> bool:
+    """Whether explicit params satisfy stmt's hypothesis at p; raises unless
+    they are a dict of integers with every key the hypothesis reads."""
+    if stmt.hypothesis is None:
+        raise InvalidParametersError(f"{stmt.id} takes no parameters, got {params!r}")
+    if isinstance(params, dict) and all(isinstance(v, int) for v in params.values()):
+        try:
+            return stmt.hypothesis(params, p)
+        except KeyError:
+            pass
+    raise InvalidParametersError(f"{stmt.id}: malformed parameters {params!r}")
+
+
+def _prime_result(
+    stmt: Statement, p: int, seed: int, params: dict | None = None, ctx: Ctx | None = None
+):
+    """None when stmt is not applicable at p, else (parameters, outcome).
+
+    Explicit params are checked once if the hypothesis admits them.  A
+    sampled statement checks up to SAMPLES_PER_PRIME drawn tuples and gives
+    the first failing one, or ({"samples": n}, a bare pass); a sampler that
+    finds no admissible tuple makes the prime not applicable.  Without a
+    shared ctx, the prime's tables are built only once stmt applies.
+    """
+    if params is not None and not _admits(stmt, params, p):
+        return None
     if not stmt.applies(p):
-        return False, None
-    if stmt.sampler is None:
-        out = stmt.check(ctx, None)
-        return True, None if out.ok else _failure(p, None, out)
+        return None
+    if ctx is None:
+        ctx = Ctx(p)
+    if stmt.sampler is None or params is not None:
+        return params, stmt.check(ctx, params)
     rng = random.Random(f"{seed}|{stmt.id}|{p}")
     tried = 0
     for _ in range(SAMPLES_PER_PRIME):
-        params = stmt.sampler(rng, p)
-        if params is None:
+        drawn = stmt.sampler(rng, p)
+        if drawn is None:
             continue
         tried += 1
-        out = stmt.check(ctx, params)
+        out = stmt.check(ctx, drawn)
         if not out.ok:
-            return True, _failure(p, params, out)
-    if tried == 0:
-        return False, None
-    return True, None
+            # a sampled failure always carries a witnesses dict
+            return drawn, Outcome(False, out.lhs, out.row, out.rhs, out.witnesses or {})
+    return ({"samples": SAMPLES_PER_PRIME}, Outcome(True)) if tried else None
 
 
 def check_statement(
     sid: str, p: int, params: dict | None = None, seed: int = 0
 ) -> Verdict:
-    """Check one statement at one prime; samples parameters unless given."""
+    """Check one statement at one prime; samples parameters unless given
+    (given ones outside the statement's hypothesis are NotApplicable)."""
     stmt = _get(sid)
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise OutOfRangeError(f"p must be an odd prime, got {p}")
-    if not stmt.applies(p):
+    got = _prime_result(stmt, p, seed, params)
+    if got is None:
         return Verdict(sid, p, params, NOT_APPLICABLE)
-    ctx = Ctx(p)
-    if stmt.sampler is None or params is not None:
-        out = stmt.check(ctx, params)
-        return Verdict(
-            sid,
-            p,
-            params,
-            PASS if out.ok else FAIL,
-            out.lhs,
-            out.row,
-            out.rhs,
-            out.witnesses,
-        )
-    applicable, failure = _prime_result(stmt, ctx, seed)
-    if not applicable:
-        return Verdict(sid, p, None, NOT_APPLICABLE)
-    if failure is None:
-        return Verdict(sid, p, {"samples": SAMPLES_PER_PRIME}, PASS)
+    used, out = got
     return Verdict(
-        sid,
-        p,
-        failure["params"],
-        FAIL,
-        failure["lhs"],
-        failure["row"],
-        failure["rhs"],
-        failure["witnesses"],
+        sid, p, used, PASS if out.ok else FAIL, out.lhs, out.row, out.rhs, out.witnesses
     )
 
 
-def _chunk_worker(args: tuple) -> dict:
-    ids, primes, seed = args
-    out: dict[str, list] = {sid: [] for sid in ids}
+def _sweep(args: tuple) -> dict[str, list]:
+    """(p, applicable, failure) rows per id over a run of primes; with
+    fail_fast an id stops at its first failure."""
+    ids, primes, seed, fail_fast = args
+    rows: dict[str, list] = {sid: [] for sid in ids}
+    live = list(ids)
     for p in primes:
+        if not live:
+            break
         ctx = Ctx(p)
-        for sid in ids:
-            applicable, failure = _prime_result(REGISTRY[sid], ctx, seed)
-            out[sid].append((p, applicable, failure))
-    return out
+        for sid in live:
+            got = _prime_result(REGISTRY[sid], p, seed, ctx=ctx)
+            failure = None if got is None or got[1].ok else _failure(p, *got)
+            rows[sid].append((p, got is not None, failure))
+        if fail_fast:
+            live = [sid for sid in live if rows[sid][-1][2] is None]
+    return rows
 
 
 def _split(primes: list[int], jobs: int) -> list[list[int]]:
@@ -348,29 +392,19 @@ def verify_many(
         _get(sid)
     if prime_limit < 5:
         raise OutOfRangeError(f"prime_limit must be at least 5, got {prime_limit}")
+    if prime_limit > TABLE_PRIME_LIMIT:
+        raise OutOfRangeError(
+            f"prime_limit must be at most {TABLE_PRIME_LIMIT}, got {prime_limit}")
     primes = [q for q in sieve_primes(prime_limit) if q > 2]
-    results: dict[str, list] = {sid: [] for sid in ids}
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(primes) < 16:
-        done: set[str] = set()
-        for p in primes:
-            if fail_fast and len(done) == len(ids):
-                break
-            ctx = Ctx(p)
-            for sid in ids:
-                if sid in done:
-                    continue
-                applicable, failure = _prime_result(REGISTRY[sid], ctx, seed)
-                results[sid].append((p, applicable, failure))
-                if fail_fast and failure is not None:
-                    done.add(sid)
+        parts = [_sweep((ids, primes, seed, fail_fast))]
     else:
-        tasks = [(ids, chunk, seed) for chunk in _split(primes, jobs)]
+        tasks = [(ids, chunk, seed, fail_fast) for chunk in _split(primes, jobs)]
         with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
-            for part in pool.imap(_chunk_worker, tasks):
-                for sid in ids:
-                    results[sid].extend(part[sid])
-    return [_build_report(sid, prime_limit, results[sid], fail_fast) for sid in ids]
+            parts = list(pool.imap(_sweep, tasks))
+    rows = {sid: [row for part in parts for row in part[sid]] for sid in ids}
+    return [_build_report(sid, prime_limit, rows[sid], fail_fast) for sid in ids]
 
 
 def verify_range(

@@ -14,48 +14,26 @@ from ..errors import RowDispatchViolationError
 from ..modarith import jacobi
 from ..qform import QuadForm
 from .engine import (
-    SAMPLER_RETRIES,
     CaseTable,
     Ctx,
     Outcome,
     Statement,
     cubic_roots,
     register,
+    rejection_sampler,
+    row_check,
 )
+from .statements_binom4 import _draw_a_residue, _draw_pq
 
 
-def _sample_ab(rng, p):
-    if p < 3:
-        return None
+# ------------------------------------------------ tuple draws and hypotheses
+
+def _draw_ab(rng, p):
     return {"a": rng.randrange(1, p), "b": rng.randrange(1, p)}
 
 
-def _sample_ab_split(rng, p):
-    # additionally avoid p | 81b^2-12a so the symbol rows are total
-    for _ in range(SAMPLER_RETRIES):
-        a = rng.randrange(1, p)
-        b = rng.randrange(1, p)
-        if (81 * b * b - 12 * a) % p:
-            return {"a": a, "b": b}
-    return None
-
-
-def _sample_pq_nondeg(rng, p):
-    for _ in range(SAMPLER_RETRIES):
-        P = rng.randrange(1, p)
-        Q = rng.randrange(1, p)
-        if (P * P - 4 * Q) % p:
-            return {"P": P, "Q": Q}
-    return None
-
-
-def _sample_a_cubic(rng, p):
-    # residue a with a(4-27a) a non-residue
-    for _ in range(SAMPLER_RETRIES):
-        a = rng.randrange(1, p)
-        if jacobi(a * (4 - 27 * a) % p, p) == -1:
-            return {"a": a}
-    return None
+def _ab_units(t, p):
+    return t["a"] * t["b"] % p != 0
 
 
 # ------------------------------------------------------- form-class rows
@@ -125,22 +103,22 @@ _TABLE_ZPS = CaseTable(4, (
 ))
 
 
-def _check_intro_zps(ctx: Ctx, params) -> Outcome:
+def _zps_sum(ctx: Ctx) -> int:
+    # sum of C(3k,k) 2^k for k = 1..p-1
     p = ctx.p
     s = 0
     pow2 = 1
     for k in range(1, p):
         pow2 = pow2 * 2 % p
         s = (s + pow2 * ctx.tables.binom_general(3 * k, k)) % p
-    label, rhs = _TABLE_ZPS.at(ctx)
-    return Outcome(s == rhs, s, label, rhs)
+    return s
 
 
 register(Statement(
     id="intro-zps",
     status="verified",
     applies=lambda p: p > 5,
-    check=_check_intro_zps,
+    check=row_check(_zps_sum, _TABLE_ZPS),
 ))
 
 
@@ -202,7 +180,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p > 3,
     check=_check_thm_3_1,
-    sampler=_sample_ab,
+    sampler=rejection_sampler(_draw_ab, _ab_units),
+    hypothesis=_ab_units,
 ))
 
 
@@ -213,17 +192,11 @@ _TABLE_3_2 = CaseTable(9, (
 ))
 
 
-def _check_thm_3_2(ctx: Ctx, params) -> Outcome:
-    s = ctx.sum_binom(3, 1, 1, 27)
-    label, rhs = _TABLE_3_2.at(ctx)
-    return Outcome(s == rhs, s, label, rhs)
-
-
 register(Statement(
     id="thm-3.2",
     status="verified",
     applies=lambda p: p > 3,
-    check=_check_thm_3_2,
+    check=row_check(lambda ctx: ctx.sum_binom(3, 1, 1, 27), _TABLE_3_2),
 ))
 
 
@@ -241,12 +214,19 @@ def _check_lem_3_2(ctx: Ctx, params) -> Outcome:
     return Outcome(lhs == rhs, lhs, label, rhs)
 
 
+def _pq_nondeg(t, p):
+    # P, Q units and p not dividing P^2-4Q, so a symbol row fires
+    P, Q = t["P"], t["Q"]
+    return P * Q * (P * P - 4 * Q) % p != 0
+
+
 register(Statement(
     id="lem-3.2",
     status="verified",
     applies=lambda p: p > 3,
     check=_check_lem_3_2,
-    sampler=_sample_pq_nondeg,
+    sampler=rejection_sampler(_draw_pq, _pq_nondeg),
+    hypothesis=_pq_nondeg,
     notes="stated for p coprime to PQ; sampling also avoids p | P^2-4Q, where"
           " neither symbol row fires",
 ))
@@ -266,12 +246,19 @@ def _check_thm_3_3(ctx: Ctx, params) -> Outcome:
     return Outcome(lhs == rhs, lhs, label, rhs)
 
 
+def _ab_split(t, p):
+    # a, b units and p not dividing 81b^2-12a, so a symbol row fires
+    a, b = t["a"], t["b"]
+    return a * b * (81 * b * b - 12 * a) % p != 0
+
+
 register(Statement(
     id="thm-3.3",
     status="verified",
     applies=lambda p: p > 3,
     check=_check_thm_3_3,
-    sampler=_sample_ab_split,
+    sampler=rejection_sampler(_draw_ab, _ab_split),
+    hypothesis=_ab_split,
     notes="stated for p coprime to ab; sampling also avoids p | 81b^2-12a, where"
           " neither symbol row fires",
 ))
@@ -443,12 +430,18 @@ def _check_thm_3_10(ctx: Ctx, params) -> Outcome:
                    sorted(roots))
 
 
+def _a_cubic(t, p):
+    a = t["a"]
+    return jacobi(a * (4 - 27 * a) % p, p) == -1
+
+
 register(Statement(
     id="thm-3.10",
     status="verified",
     applies=lambda p: p > 3,
     check=_check_thm_3_10,
-    sampler=_sample_a_cubic,
+    sampler=rejection_sampler(_draw_a_residue, _a_cubic),
+    hypothesis=_a_cubic,
 ))
 
 

@@ -2,8 +2,9 @@
 
 Each register() call pairs an applicability predicate with a check that
 evaluates the sum at one prime and looks up the matching right-hand row,
-mostly in a CaseTable on p mod M.  Parameterized statements carry a
-sampler; the engine draws 20 seeded tuples per prime.
+mostly in a CaseTable on p mod M.  Parameterized statements state their
+tuple hypothesis once, as a predicate that both filters the seeded draws
+and guards explicit parameters.
 """
 
 from __future__ import annotations
@@ -22,78 +23,49 @@ from ..errors import (
 from ..modarith import is_prime, jacobi, sqrt_mod
 from ..qform import QuadForm
 from .engine import (
-    SAMPLER_RETRIES,
     CaseTable,
     Ctx,
     Outcome,
     Statement,
     _sign_pow,
     register,
+    rejection_sampler,
+    row_check,
 )
 
 
-# ---------------------------------------------------------------- samplers
+# ------------------------------------------------ tuple draws and hypotheses
 
-def _sample_unit_pair(rng, p):
-    if p < 3:
-        return None
+def _draw_pq(rng, p):
     return {"P": rng.randrange(1, p), "Q": rng.randrange(1, p)}
 
 
-def _sample_x_unit(rng, p):
-    if p < 5:
-        return None
+def _draw_a_residue(rng, p):
+    return {"a": rng.randrange(1, p)}
+
+
+def _draw_x(rng, p):
     return {"x": rng.randrange(2, p)}
 
 
-def _sample_split_pair(rng, p):
-    # P, Q units with p not dividing P^2-4Q and Q a square mod p
-    for _ in range(SAMPLER_RETRIES):
-        P = rng.randrange(1, p)
-        Q = rng.randrange(1, p)
-        if (P * P - 4 * Q) % p and jacobi(Q, p) == 1:
-            return {"P": P, "Q": Q}
-    return None
+def _draw_bm(rng, p):
+    return {"b": rng.choice((1, -1)) * rng.randrange(1, 61),
+            "m": rng.choice((1, -1)) * rng.randrange(1, 61)}
 
 
-def _sample_a_16sq(rng, p):
-    # integer a with p dividing neither a nor 16a^2+1
-    for _ in range(SAMPLER_RETRIES):
-        a = rng.randrange(1, 61)
-        if a % p and (16 * a * a + 1) % p:
-            return {"a": a}
-    return None
+def _pq_units(t, p):
+    return t["P"] * t["Q"] % p != 0
 
 
-def _sample_a_unit(rng, p):
-    # residue a with 16a^2 - 1 invertible
-    for _ in range(SAMPLER_RETRIES):
-        a = rng.randrange(1, p)
-        if (16 * a * a - 1) % p:
-            return {"a": a}
-    return None
+def _pq_split(t, p):
+    # Q a nonzero square, P a unit and p not dividing P^2-4Q
+    P, Q = t["P"], t["Q"]
+    return P * (P * P - 4 * Q) % p != 0 and jacobi(Q, p) == 1
 
 
-def _sample_bm(rng, p):
-    # coprime integers b, m with p not dividing b m (b^2+4m^2)
-    for _ in range(SAMPLER_RETRIES):
-        b = rng.choice((1, -1)) * rng.randrange(1, 61)
-        m = rng.choice((1, -1)) * rng.randrange(1, 61)
-        if gcd(b, m) != 1:
-            continue
-        if b * m * (b * b + 4 * m * m) % p == 0:
-            continue
-        return {"b": b, "m": m}
-    return None
-
-
-def _sample_a_signed(rng, p):
-    # integer a with p dividing none of a, 1-16a^2, 1+16a^2
-    for _ in range(SAMPLER_RETRIES):
-        a = rng.choice((1, -1)) * rng.randrange(1, 61)
-        if a % p and (1 - 16 * a * a) % p and (1 + 16 * a * a) % p:
-            return {"a": a}
-    return None
+def _bm_coprime(t, p):
+    b, m = t["b"], t["m"]
+    return gcd(b, m) == 1 and b * m * (b * b + 4 * m * m) % p != 0
 
 
 # ------------------------------------------------- alternating sum mod 17
@@ -103,32 +75,27 @@ def _t17(coef):
     return lambda ctx: coef * ctx.pw(17, ctx.p // 4) % ctx.p
 
 
-_COMMON_17 = (  # rows of both halves
-    ("p ≡ ±1,±4 (mod 17)", (1, 4, 13, 16), _t17(1)),
-    ("p ≡ ±2,±8 (mod 17)", (2, 8, 9, 15), _t17(-1)),
-)
-_TABLES_2_6 = {  # by p mod 4
-    1: CaseTable(17, _COMMON_17 + (
-        ("p ≡ ±3,±5,±6,±7 (mod 17)", (3, 5, 6, 7, 10, 11, 12, 14), lambda ctx: 0),
-    )),
-    3: CaseTable(17, _COMMON_17 + (
-        ("p ≡ ±3,±5 (mod 17)", (3, 5, 12, 14), _t17(4)),
-        ("p ≡ ±6,±7 (mod 17)", (6, 7, 10, 11), _t17(-4)),
-    )),
-}
+def _mod68(mod4, mod17):
+    # the classes mod 68 with p mod 4 in mod4 and p mod 17 in mod17
+    return tuple(r for r in range(68) if r % 4 in mod4 and r % 17 in mod17)
 
 
-def _check_thm_2_6(ctx: Ctx, params) -> Outcome:
-    s = ctx.sum_binom(4, 2, -1)
-    label, rhs = _TABLES_2_6[ctx.p % 4].at(ctx)
-    return Outcome(s == rhs, s, label, rhs)
+_TABLE_2_6 = CaseTable(68, (
+    ("p ≡ ±1,±4 (mod 17)", _mod68((1, 3), (1, 4, 13, 16)), _t17(1)),
+    ("p ≡ ±2,±8 (mod 17)", _mod68((1, 3), (2, 8, 9, 15)), _t17(-1)),
+    ("p ≡ ±3,±5,±6,±7 (mod 17)", _mod68((1,), (3, 5, 6, 7, 10, 11, 12, 14)),
+     lambda ctx: 0),
+    ("p ≡ ±3,±5 (mod 17)", _mod68((3,), (3, 5, 12, 14)), _t17(4)),
+    ("p ≡ ±6,±7 (mod 17)", _mod68((3,), (6, 7, 10, 11)), _t17(-4)),
+))
+_CHECK_2_6 = row_check(lambda ctx: ctx.sum_binom(4, 2, -1), _TABLE_2_6)
 
 
 register(Statement(
     id="thm-2.6",
     status="verified",
     applies=lambda p: p != 17,
-    check=_check_thm_2_6,
+    check=_CHECK_2_6,
 ))
 
 
@@ -137,7 +104,7 @@ register(Statement(
     id="intro-1.1",
     status="verified",
     applies=lambda p: p % 4 == 3,
-    check=_check_thm_2_6,
+    check=_CHECK_2_6,
 ))
 
 
@@ -164,12 +131,18 @@ def _check_intro_1_2(ctx: Ctx, params) -> Outcome:
     return Outcome(s == sym % p, s, "(16a^2+1|p) = 1", sym % p, {"c": c, "d": d})
 
 
+def _a_16sq(t, p):
+    a = t["a"]
+    return a * (16 * a * a + 1) % p != 0
+
+
 register(Statement(
     id="intro-1.2",
     status="verified",
     applies=lambda p: p % 4 == 1,
     check=_check_intro_1_2,
-    sampler=_sample_a_16sq,
+    sampler=rejection_sampler(lambda rng, p: {"a": rng.randrange(1, 61)}, _a_16sq),
+    hypothesis=_a_16sq,
     notes="sampling also skips p | a: the underlying two-squares row needs p coprime to 8a",
 ))
 
@@ -228,7 +201,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p >= 3,
     check=_check_thm_2_1,
-    sampler=_sample_unit_pair,
+    sampler=rejection_sampler(_draw_pq, _pq_units),
+    hypothesis=_pq_units,
 ))
 
 
@@ -240,12 +214,17 @@ def _check_thm_2_2_i(ctx: Ctx, params) -> Outcome:
     return Outcome(lhs == rhs, lhs, "x^((p-1)/4) transfer", rhs)
 
 
+def _x_unit(t, p):
+    return t["x"] % p != 0
+
+
 register(Statement(
     id="thm-2.2-i",
     status="verified",
     applies=lambda p: p % 4 == 1,
     check=_check_thm_2_2_i,
-    sampler=_sample_x_unit,
+    sampler=rejection_sampler(_draw_x, _x_unit),
+    hypothesis=_x_unit,
 ))
 
 
@@ -258,12 +237,17 @@ def _check_thm_2_2_ii(ctx: Ctx, params) -> Outcome:
     return Outcome(lhs == rhs, lhs, "(1-1/x)^((p-3)/4) transfer", rhs)
 
 
+def _x_and_1_minus_x_units(t, p):
+    return t["x"] * (1 - t["x"]) % p != 0
+
+
 register(Statement(
     id="thm-2.2-ii",
     status="verified",
-    applies=lambda p: p % 4 == 3,
+    applies=lambda p: p % 4 == 3 and p > 3,
     check=_check_thm_2_2_ii,
-    sampler=_sample_x_unit,
+    sampler=rejection_sampler(_draw_x, _x_and_1_minus_x_units),
+    hypothesis=_x_and_1_minus_x_units,
 ))
 
 
@@ -302,7 +286,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p >= 5,
     check=_check_thm_2_3,
-    sampler=_sample_split_pair,
+    sampler=rejection_sampler(_draw_pq, _pq_split),
+    hypothesis=_pq_split,
     notes="conditional vanishing rows; both hypotheses can fail, in which case the"
           " draw is vacuously true; no admissible pair exists at p = 3",
 ))
@@ -319,17 +304,11 @@ _TABLE_2_4 = CaseTable(8, (
 ))
 
 
-def _check_thm_2_4(ctx: Ctx, params) -> Outcome:
-    s = ctx.sum_binom(4, 2, -1, 16)
-    label, rhs = _TABLE_2_4.at(ctx)
-    return Outcome(s == rhs, s, label, rhs)
-
-
 register(Statement(
     id="thm-2.4",
     status="verified",
     applies=lambda p: p > 5,
-    check=_check_thm_2_4,
+    check=row_check(lambda ctx: ctx.sum_binom(4, 2, -1, 16), _TABLE_2_4),
 ))
 
 
@@ -386,17 +365,13 @@ _TABLE_2_7 = CaseTable(52, tuple(
 ))
 
 
-def _check_thm_2_7(ctx: Ctx, params) -> Outcome:
-    s = ctx.jac(3) * ctx.sum_binom(4, 2, -1, 36) % ctx.p
-    label, rhs = _TABLE_2_7.at(ctx)
-    return Outcome(s == rhs, s, label, rhs)
-
-
 register(Statement(
     id="thm-2.7",
     status="verified",
     applies=lambda p: p not in (3, 13),
-    check=_check_thm_2_7,
+    check=row_check(
+        lambda ctx: ctx.jac(3) * ctx.sum_binom(4, 2, -1, 36) % ctx.p,
+        _TABLE_2_7),
 ))
 
 
@@ -450,12 +425,17 @@ def _check_thm_2_9(ctx: Ctx, params) -> Outcome:
     return Outcome(s == rhs, s, "(1-16a^2|p) = 1", rhs)
 
 
+def _a_16sq_minus(t, p):
+    return (16 * t["a"] * t["a"] - 1) % p != 0
+
+
 register(Statement(
     id="thm-2.9",
     status="verified",
     applies=lambda p: p >= 5,
     check=_check_thm_2_9,
-    sampler=_sample_a_unit,
+    sampler=rejection_sampler(_draw_a_residue, _a_16sq_minus),
+    hypothesis=_a_16sq_minus,
     notes="no residue a survives the 16a^2 != 1 filter at p = 3",
 ))
 
@@ -467,17 +447,11 @@ _TABLE_2_2_MOD15 = CaseTable(15, (
 ))
 
 
-def _check_cor_2_2_mod15(ctx: Ctx, params) -> Outcome:
-    s = ctx.sum_binom(4, 2, 1)
-    label, rhs = _TABLE_2_2_MOD15.at(ctx)
-    return Outcome(s == rhs, s, label, rhs)
-
-
 register(Statement(
     id="cor-2.2-mod15",
     status="verified",
     applies=lambda p: p > 5,
-    check=_check_cor_2_2_mod15,
+    check=row_check(lambda ctx: ctx.sum_binom(4, 2, 1), _TABLE_2_2_MOD15),
 ))
 
 
@@ -487,31 +461,19 @@ _TABLE_COR_2_3 = CaseTable(7, (
 ))
 
 
-def _check_cor_2_3(ctx: Ctx, params) -> Outcome:
-    s = ctx.sum_binom(4, 2, 4)
-    label, rhs = _TABLE_COR_2_3.at(ctx)
-    return Outcome(s == rhs, s, label, rhs)
-
-
 register(Statement(
     id="cor-2.3",
     status="verified",
     applies=lambda p: p > 7,
-    check=_check_cor_2_3,
+    check=row_check(lambda ctx: ctx.sum_binom(4, 2, 4), _TABLE_COR_2_3),
 ))
-
-
-def _check_cor_2_4(ctx: Ctx, params) -> Outcome:
-    s = ctx.sum_binom(4, 2, 1, 4)
-    label, rhs = _RATIO_1_4.at(ctx)
-    return Outcome(s == rhs, s, label, rhs)
 
 
 register(Statement(
     id="cor-2.4",
     status="verified",
     applies=lambda p: p > 3,
-    check=_check_cor_2_4,
+    check=row_check(lambda ctx: ctx.sum_binom(4, 2, 1, 4), _RATIO_1_4),
 ))
 
 
@@ -558,7 +520,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p % 4 == 1,
     check=_check_thm_2_10,
-    sampler=_sample_bm,
+    sampler=rejection_sampler(_draw_bm, _bm_coprime),
+    hypothesis=_bm_coprime,
     notes="sampling also skips p | b, which the two even sub-rows implicitly need",
 ))
 
@@ -704,7 +667,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p >= 3,
     check=_check_thm_2_11,
-    sampler=_sample_bm,
+    sampler=rejection_sampler(_draw_bm, _bm_coprime),
+    hypothesis=_bm_coprime,
     notes="in the p ≡ 1 (mod 4), (b^2+4m^2|p) = -1 regime both displays vanish and"
           " the congruences leave the sign free; the quartic-symbol value is recorded",
 ))
@@ -716,8 +680,6 @@ def _check_thm_2_12(ctx: Ctx, params) -> Outcome:
     lhs = 2 * ctx.sum_binom(8, 4, ctx.pw(a, 4), upper=p // 8) % p
     s1 = ctx.jac(1 - 16 * a * a)
     s2 = ctx.jac(1 + 16 * a * a)
-    if 0 in (s1, s2):
-        raise RowDispatchViolationError(f"thm-2.12 at p={p}: no row fires for a={a}")
     sym = None
     if s2 == 1:
         c, d = ctx.two_sq()
@@ -728,12 +690,19 @@ def _check_thm_2_12(ctx: Ctx, params) -> Outcome:
     return Outcome(lhs == rhs, lhs, f"(1-16a^2|p) = {s1}, (1+16a^2|p) = {s2}", rhs)
 
 
+def _a_signed(t, p):
+    a = t["a"]
+    return a * (1 - 16 * a * a) * (1 + 16 * a * a) % p != 0
+
+
 register(Statement(
     id="thm-2.12",
     status="verified",
     applies=lambda p: p % 4 == 1,
     check=_check_thm_2_12,
-    sampler=_sample_a_signed,
+    sampler=rejection_sampler(
+        lambda rng, p: {"a": rng.choice((1, -1)) * rng.randrange(1, 61)}, _a_signed),
+    hypothesis=_a_signed,
     notes="the exponent in the sum is a^(4k); the proof display writes a^(2k) but"
           " its own substitution and direct evaluation both give a^(4k)",
 ))
@@ -828,7 +797,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p >= 5,
     check=_check_lem_2_5,
-    sampler=_sample_split_pair,
+    sampler=rejection_sampler(_draw_pq, _pq_split),
+    hypothesis=_pq_split,
     notes="stated for all admissible P, Q; checked on seeded samples because the"
           " pair space is quadratic in p; either square root of Q gives the same"
           " rows, so the canonical one is used; no admissible pair exists at p = 3",

@@ -17,7 +17,7 @@ from ..combsum import (
     t_sum_exact,
     t0_closed,
 )
-from .engine import CaseTable, Ctx, Outcome, Statement, _sign_pow, register
+from .engine import CaseTable, Ctx, Outcome, Statement, _sign_pow, register, row_check
 
 
 def _check_intro_1_4(ctx: Ctx, params) -> Outcome:
@@ -43,17 +43,11 @@ _TABLE_4_1 = CaseTable(3, tuple(
 ))
 
 
-def _check_thm_4_1(ctx: Ctx, params) -> Outcome:
-    s = ctx.sum_binom(6, 3, -1, 64)
-    label, rhs = _TABLE_4_1.at(ctx)
-    return Outcome(s == rhs, s, label, rhs)
-
-
 register(Statement(
     id="thm-4.1",
     status="verified",
     applies=lambda p: p > 3,
-    check=_check_thm_4_1,
+    check=row_check(lambda ctx: ctx.sum_binom(6, 3, -1, 64), _TABLE_4_1),
 ))
 
 
@@ -68,17 +62,13 @@ _TABLE_4_2 = CaseTable(8, (
 ))
 
 
-def _check_thm_4_2(ctx: Ctx, params) -> Outcome:
-    s = 4 * ctx.sum_binom(8, 4, 1, 256, upper=ctx.p // 8) % ctx.p
-    label, rhs = _TABLE_4_2.at(ctx)
-    return Outcome(s == rhs, s, label, rhs)
-
-
 register(Statement(
     id="thm-4.2",
     status="verified",
     applies=lambda p: p > 2,
-    check=_check_thm_4_2,
+    check=row_check(
+        lambda ctx: 4 * ctx.sum_binom(8, 4, 1, 256, upper=ctx.p // 8) % ctx.p,
+        _TABLE_4_2),
 ))
 
 
@@ -91,17 +81,13 @@ _TABLE_4_3 = CaseTable(24, tuple(
 ))
 
 
-def _check_thm_4_3(ctx: Ctx, params) -> Outcome:
-    s = 6 * ctx.sum_binom(12, 6, 1, 4096, upper=ctx.p // 12) % ctx.p
-    label, rhs = _TABLE_4_3.at(ctx)
-    return Outcome(s == rhs, s, label, rhs)
-
-
 register(Statement(
     id="thm-4.3",
     status="verified",
     applies=lambda p: p > 3,
-    check=_check_thm_4_3,
+    check=row_check(
+        lambda ctx: 6 * ctx.sum_binom(12, 6, 1, 4096, upper=ctx.p // 12) % ctx.p,
+        _TABLE_4_3),
     notes="the 7 (mod 24) row is -1: the variant -2 sometimes quoted for that"
           " row fails at every such prime (p = 7 gives LHS = -1, p = 31 gives"
           " -1), and -1 is what the 19 (mod 24) derivation specializes to",
@@ -116,19 +102,17 @@ _TABLE_4_4 = CaseTable(20, tuple(
 ))
 
 
-def _check_thm_4_4(ctx: Ctx, params) -> Outcome:
+def _lhs_4_4(ctx: Ctx) -> int:
     p = ctx.p
-    lhs = (5 * ctx.sum_binom(10, 5, -1, 1024, upper=p // 10)
-           - _sign_pow((p + 1) // 4)) % p
-    label, rhs = _TABLE_4_4.at(ctx)
-    return Outcome(lhs == rhs, lhs, label, rhs)
+    return (5 * ctx.sum_binom(10, 5, -1, 1024, upper=p // 10)
+            - _sign_pow((p + 1) // 4)) % p
 
 
 register(Statement(
     id="thm-4.4",
     status="disputed",
     applies=lambda p: p > 5,
-    check=_check_thm_4_4,
+    check=row_check(_lhs_4_4, _TABLE_4_4),
     notes="the rows as claimed fail at p = 11 (LHS 0, row -5^{(p+1)/4}) and at"
           " 17, 19, 23, ...; the mismatch is reported as data, not repaired",
 ))

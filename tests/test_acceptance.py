@@ -6,6 +6,7 @@ FAIL line and the assertion detail.
 """
 
 import contextlib
+import hashlib
 import json
 import subprocess
 import sys
@@ -230,5 +231,8 @@ def test_criterion_10_byte_identical_json_across_jobs(capfd):
             assert proc.returncode == 0, proc.stderr.decode()
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+        # the canonical report to 1000 is pinned byte for byte
+        assert hashlib.sha256(outs[0]).hexdigest() == (
+            "5e15beb996b84bb4c618bc9a58c24dd5540c3a7fa52f28f37b71ab38b6932b10")
         parsed = json.loads(outs[0])
         assert len(parsed) == len({r["id"] for r in parsed})

@@ -5,9 +5,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from congrkit.binomsum import ModTables, binom_shift_lemma_check, mod_tables
+from congrkit.binomsum import (
+    TABLE_PRIME_LIMIT,
+    ModTables,
+    binom_shift_lemma_check,
+    mod_tables,
+)
 from congrkit.errors import OutOfRangeError, ZeroInverseError
-from congrkit.modarith import inv_mod, sieve_primes
+from congrkit.modarith import inv_mod, is_prime, sieve_primes
 from congrkit.registry import Ctx
 
 ODD_PRIMES = sieve_primes(200)[1:]
@@ -83,3 +88,13 @@ def test_shift_lemmas_hold(which):
 def test_shift_lemma_unknown_name():
     with pytest.raises(OutOfRangeError):
         binom_shift_lemma_check("L9.9", 7)
+
+
+def test_tables_refuse_primes_above_the_limit():
+    # the first prime above the limit; the check runs before any allocation
+    p = next(q for q in range(TABLE_PRIME_LIMIT + 1, TABLE_PRIME_LIMIT + 100)
+             if is_prime(q))
+    with pytest.raises(OutOfRangeError, match=str(TABLE_PRIME_LIMIT)):
+        ModTables(p)
+    with pytest.raises(OutOfRangeError):
+        mod_tables(p)

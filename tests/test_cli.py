@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from congrkit.binomsum import TABLE_PRIME_LIMIT
 from congrkit.cli import main
+from congrkit.modarith import is_prime
 
 
 def run_cli(*argv):
@@ -132,6 +134,23 @@ def test_compute_sum_bad_input_errors(capsys, extra):
                  id="top-not-integer"),
 ])
 def test_malformed_input_errors(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+_ABOVE_LIMIT = next(q for q in range(TABLE_PRIME_LIMIT + 1, TABLE_PRIME_LIMIT + 100)
+                    if is_prime(q))
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "--id", "thm-2.6", "--max-prime", str(_ABOVE_LIMIT)],
+                 id="verify-limit"),
+    pytest.param(["compute", "sum", "--a", "4", "--b", "2", "--num", "1",
+                  "--prime", str(_ABOVE_LIMIT)], id="sum-prime"),
+])
+def test_above_table_limit_errors(capsys, monkeypatch, argv):
+    # both commands refuse before they sieve or build tables
+    monkeypatch.setattr("congrkit.registry.engine.sieve_primes", None)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
 

@@ -49,6 +49,11 @@ def test_uv_mod_rejects_negative_index():
         uv_mod(1, -1, -5, 101)
 
 
+def test_exact_rejects_negative_index():
+    with pytest.raises(OutOfRangeError):
+        lucas_uv_exact(1, -1, -1)
+
+
 @given(st.fractions(-30, 30, max_denominator=50), st.integers(-30, 30), st.integers(0, 60),
        st.sampled_from(sieve_primes(150)[1:]))
 def test_rational_parameters_reduce(P, Q, n, p):

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from congrkit.errors import OutOfRangeError, UnknownIdError
+from congrkit.binomsum import TABLE_PRIME_LIMIT
+from congrkit.errors import (
+    CongruenceError,
+    InvalidParametersError,
+    OutOfRangeError,
+    UnknownIdError,
+)
 from congrkit.registry import (
     check_statement,
     cubic_roots,
@@ -70,6 +76,34 @@ def test_verify_range_rejects_tiny_limit():
         verify_range("cor-2.1", 4)
 
 
+def test_verify_rejects_limit_above_tables_before_sieving(monkeypatch):
+    monkeypatch.setattr(engine, "sieve_primes", None)
+    with pytest.raises(OutOfRangeError, match=str(TABLE_PRIME_LIMIT)):
+        verify_many(["thm-2.6"], TABLE_PRIME_LIMIT + 1)
+
+
+@pytest.mark.parametrize("sid, p, params", [
+    ("thm-3.10", 13, {"a": 0}),  # a(4-27a) = 0 is no non-residue
+    ("thm-2.10", 13, {"b": 13, "m": 1}),  # p | b
+    ("thm-2.12", 17, {"a": 1}),  # p | 1+16a^2
+])
+def test_explicit_params_outside_hypothesis_not_applicable(sid, p, params):
+    v = check_statement(sid, p, params=params)
+    assert (v.outcome, v.parameters, v.lhs) == ("NotApplicable", params, None)
+
+
+@pytest.mark.parametrize("sid, params", [
+    ("thm-2.10", {"b": 1}),  # missing key
+    ("thm-3.10", {"a": "x"}),  # non-integer value
+    ("thm-2.6", {"zz": 1}),  # the statement takes no parameters
+])
+def test_explicit_params_input_errors(sid, params):
+    assert issubclass(InvalidParametersError, CongruenceError)
+    with pytest.raises(InvalidParametersError) as info:
+        check_statement(sid, 13, params=params)
+    assert sid in str(info.value) and repr(params) in str(info.value)
+
+
 def test_disputed_statement_reports_failures():
     r = verify_range("thm-4.4", 100)
     assert r.status == "disputed"
@@ -102,6 +136,15 @@ def test_jobs_do_not_change_output():
     a = reports_json(verify_many(["thm-2.1", "thm-3.3"], 400, jobs=1, seed=7))
     b = reports_json(verify_many(["thm-2.1", "thm-3.3"], 400, jobs=3, seed=7))
     assert a == b
+
+
+def test_fail_fast_serial_and_pool_agree(monkeypatch):
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    ids = ["thm-4.4", "delta5-family", "thm-2.6", "thm-3.10"]
+    one, two = (reports_json(verify_many(ids, 600, jobs=j, fail_fast=True))
+                for j in (1, 2))
+    assert one == two
+    assert [len(r["failures"]) for r in json.loads(one)] == [1, 1, 0, 0]
 
 
 def test_pool_size_is_bounded(monkeypatch):
