@@ -27,7 +27,7 @@ from ..errors import (
     UnknownIdError,
 )
 from ..lucas import uv_mod
-from ..modarith import inv_mod, is_prime, jacobi, sieve_primes
+from ..modarith import inv_mod, is_prime, jacobi, sieve_primes, sqrt_mod
 from ..qform import ClassMatch, QuadForm, classify_by_class, represent, two_squares
 
 SAMPLES_PER_PRIME = 20
@@ -122,6 +122,7 @@ class Statement:
     sampler: Callable[[random.Random, int], dict | None] | None = None
     # (params, p) -> whether the tuple satisfies the statement's hypothesis
     hypothesis: Callable[[dict, int], bool] | None = None
+    keys: tuple[str, ...] = ()  # the names of the tuple's parameters
     notes: str = ""
 
 
@@ -167,8 +168,9 @@ REGISTRY: dict[str, Statement] = {}
 def register(stmt: Statement) -> Statement:
     if stmt.id in REGISTRY:
         raise ValueError(f"duplicate statement id {stmt.id}")
-    if (stmt.sampler is None) != (stmt.hypothesis is None):
-        raise ValueError(f"{stmt.id}: a sampler needs a hypothesis and vice versa")
+    parts = (stmt.sampler, stmt.hypothesis, stmt.keys)
+    if any(parts) and not all(parts):
+        raise ValueError(f"{stmt.id}: a sampler, a hypothesis and parameter keys go together")
     REGISTRY[stmt.id] = stmt
     return stmt
 
@@ -268,15 +270,14 @@ def _failure(p: int, params: dict | None, out: Outcome) -> dict:
 
 def _admits(stmt: Statement, params: dict, p: int) -> bool:
     """Whether explicit params satisfy stmt's hypothesis at p; raises unless
-    they are a dict of integers with every key the hypothesis reads."""
+    they are a dict of integers keyed by exactly stmt.keys."""
     if stmt.hypothesis is None:
         raise InvalidParametersError(f"{stmt.id} takes no parameters, got {params!r}")
-    if isinstance(params, dict) and all(isinstance(v, int) for v in params.values()):
-        try:
-            return stmt.hypothesis(params, p)
-        except KeyError:
-            pass
-    raise InvalidParametersError(f"{stmt.id}: malformed parameters {params!r}")
+    if (isinstance(params, dict) and set(params) == set(stmt.keys)
+            and all(isinstance(v, int) for v in params.values())):
+        return stmt.hypothesis(params, p)
+    raise InvalidParametersError(
+        f"{stmt.id}: malformed parameters {params!r}, want integers {', '.join(stmt.keys)}")
 
 
 def _prime_result(
@@ -426,12 +427,99 @@ def reports_json(reports: list[Report]) -> str:
 
 
 def cubic_roots(c3: int, c1: int, c0: int, p: int) -> set[int]:
-    """All residues x with c3 x^3 + c1 x + c0 = 0 mod p, by full scan."""
-    if p <= 3:
-        raise OutOfRangeError(f"need p > 3, got {p}")
+    """All residues x with c3 x^3 + c1 x + c0 = 0 mod the prime p > 3.
+
+    With f made monic, the distinct roots of f are those of
+    g = gcd(f, x^p - x), which is split by degree: a linear g is read off, a
+    quadratic one is solved with sqrt_mod, and a cubic one is cut by
+    gcd(g, (x + d)^((p-1)/2) - 1) for d = 0, 1, 2, ... (Cantor-Zassenhaus).
+    c3 = 0 gives the linear or constant case; the zero polynomial has every
+    residue as a root.
+    """
+    if p <= 3 or not is_prime(p):
+        raise OutOfRangeError(f"need a prime p > 3, got {p}")
     c3 %= p
     c1 %= p
     c0 %= p
-    return {
-        x for x in range(p) if (((c3 * x % p) * x + c1) * x + c0) % p == 0
-    }
+    if c3 == 0:
+        if c1:
+            return {-c0 * inv_mod(c1, p) % p}
+        return set(range(p)) if c0 == 0 else set()
+    inv = inv_mod(c3, p)
+    A, B = c1 * inv % p, c0 * inv % p
+    u0, u1, u2 = _x_plus_d_pow(0, p, A, B, p)
+    return _roots_of(_poly_gcd([B, A, 0, 1], [u0, u1 - 1, u2], p), p)
+
+
+def _x_plus_d_pow(d: int, e: int, A: int, B: int, p: int) -> tuple[int, int, int]:
+    """(x + d)^e mod (x^3 + A x + B, p) as (u0, u1, u2) = u0 + u1 x + u2 x^2,
+    left to right over the bits of e >= 1: square, then multiply by x + d on
+    a set bit, reducing with x^3 = -A x - B."""
+    u0, u1, u2 = d, 1, 0
+    for bit in bin(e)[3:]:
+        c3, c4 = 2 * u1 * u2, u2 * u2
+        u0, u1, u2 = (
+            (u0 * u0 - B * c3) % p,
+            (2 * u0 * u1 - A * c3 - B * c4) % p,
+            (u1 * u1 + 2 * u0 * u2 - A * c4) % p,
+        )
+        if bit == "1":
+            u0, u1, u2 = (d * u0 - B * u2) % p, (u0 + d * u1 - A * u2) % p, (u1 + d * u2) % p
+    return u0, u1, u2
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b in F_p[x]: coefficients low to high,
+    reduced mod p, without trailing zeros."""
+    a = list(a)
+    inv = inv_mod(b[-1], p)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        shift = len(a) - len(b)
+        t = q[shift] = a[-1] * inv % p
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - t * c) % p
+        _trim(a)
+    return q, a
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a and b in F_p[x], a not zero."""
+    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    inv = inv_mod(a[-1], p)
+    return [c * inv % p for c in a]
+
+
+def _roots_of(g: list[int], p: int) -> set[int]:
+    """Roots of a monic squarefree g of degree <= 3 that splits into linear
+    factors over F_p; a cubic g has no x^2 term."""
+    if len(g) == 1:
+        return set()
+    if len(g) == 2:
+        return {-g[0] % p}
+    if len(g) == 3:
+        b, c = g[1], g[0]
+        s = sqrt_mod(b * b - 4 * c, p)
+        half = (p + 1) // 2
+        return {(-b + s) * half % p, (-b - s) * half % p}
+    # g = x^3 + A x + B with roots r.  d fails to split g only when the
+    # symbols (r + d | p) agree or some r + d is 0; as the sum over d of
+    # ((r + d)(r' + d) | p) is -1 for r != r', that is at most
+    # (p - 3)/4 + 3 < p values of d.
+    B, A = g[0], g[1]
+    e = (p - 1) // 2
+    d = 0
+    while True:
+        u0, u1, u2 = _x_plus_d_pow(d, e, A, B, p)
+        h = _poly_gcd(g, [u0 - 1, u1, u2], p)
+        if 1 < len(h) < 4:
+            return _roots_of(h, p) | _roots_of(_poly_divmod(g, h, p)[0], p)
+        d += 1

@@ -104,14 +104,18 @@ _TABLE_ZPS = CaseTable(4, (
 
 
 def _zps_sum(ctx: Ctx) -> int:
-    # sum of C(3k,k) 2^k for k = 1..p-1
+    # sum of C(3k,k) 2^k for k = 1..p-1.  By Lucas, C(3k,k) = C(3k-qp, k)
+    # with q = [3k/p], which is 0 unless q = 0 (k <= [p/3]) or q = 1 and
+    # k >= p/2; so the sum is two runs, the second for p/2 < k < 2p/3.
     p = ctx.p
-    s = 0
-    pow2 = 1
-    for k in range(1, p):
+    binom = ctx.tables.binom
+    s = ctx.sum_binom(3, 1, 2) - 1
+    lo = (p + 1) // 2
+    pow2 = pow(2, lo, p)
+    for k in range(lo, (2 * p - 1) // 3 + 1):
+        s += pow2 * binom(3 * k - p, k)
         pow2 = pow2 * 2 % p
-        s = (s + pow2 * ctx.tables.binom_general(3 * k, k)) % p
-    return s
+    return s % p
 
 
 register(Statement(
@@ -182,6 +186,7 @@ register(Statement(
     check=_check_thm_3_1,
     sampler=rejection_sampler(_draw_ab, _ab_units),
     hypothesis=_ab_units,
+    keys=("a", "b"),
 ))
 
 
@@ -227,6 +232,7 @@ register(Statement(
     check=_check_lem_3_2,
     sampler=rejection_sampler(_draw_pq, _pq_nondeg),
     hypothesis=_pq_nondeg,
+    keys=("P", "Q"),
     notes="stated for p coprime to PQ; sampling also avoids p | P^2-4Q, where"
           " neither symbol row fires",
 ))
@@ -259,6 +265,7 @@ register(Statement(
     check=_check_thm_3_3,
     sampler=rejection_sampler(_draw_ab, _ab_split),
     hypothesis=_ab_split,
+    keys=("a", "b"),
     notes="stated for p coprime to ab; sampling also avoids p | 81b^2-12a, where"
           " neither symbol row fires",
 ))
@@ -442,6 +449,7 @@ register(Statement(
     check=_check_thm_3_10,
     sampler=rejection_sampler(_draw_a_residue, _a_cubic),
     hypothesis=_a_cubic,
+    keys=("a",),
 ))
 
 

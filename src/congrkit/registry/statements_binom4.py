@@ -143,6 +143,7 @@ register(Statement(
     check=_check_intro_1_2,
     sampler=rejection_sampler(lambda rng, p: {"a": rng.randrange(1, 61)}, _a_16sq),
     hypothesis=_a_16sq,
+    keys=("a",),
     notes="sampling also skips p | a: the underlying two-squares row needs p coprime to 8a",
 ))
 
@@ -203,6 +204,7 @@ register(Statement(
     check=_check_thm_2_1,
     sampler=rejection_sampler(_draw_pq, _pq_units),
     hypothesis=_pq_units,
+    keys=("P", "Q"),
 ))
 
 
@@ -225,6 +227,7 @@ register(Statement(
     check=_check_thm_2_2_i,
     sampler=rejection_sampler(_draw_x, _x_unit),
     hypothesis=_x_unit,
+    keys=("x",),
 ))
 
 
@@ -248,6 +251,7 @@ register(Statement(
     check=_check_thm_2_2_ii,
     sampler=rejection_sampler(_draw_x, _x_and_1_minus_x_units),
     hypothesis=_x_and_1_minus_x_units,
+    keys=("x",),
 ))
 
 
@@ -288,6 +292,7 @@ register(Statement(
     check=_check_thm_2_3,
     sampler=rejection_sampler(_draw_pq, _pq_split),
     hypothesis=_pq_split,
+    keys=("P", "Q"),
     notes="conditional vanishing rows; both hypotheses can fail, in which case the"
           " draw is vacuously true; no admissible pair exists at p = 3",
 ))
@@ -436,6 +441,7 @@ register(Statement(
     check=_check_thm_2_9,
     sampler=rejection_sampler(_draw_a_residue, _a_16sq_minus),
     hypothesis=_a_16sq_minus,
+    keys=("a",),
     notes="no residue a survives the 16a^2 != 1 filter at p = 3",
 ))
 
@@ -522,6 +528,7 @@ register(Statement(
     check=_check_thm_2_10,
     sampler=rejection_sampler(_draw_bm, _bm_coprime),
     hypothesis=_bm_coprime,
+    keys=("b", "m"),
     notes="sampling also skips p | b, which the two even sub-rows implicitly need",
 ))
 
@@ -669,6 +676,7 @@ register(Statement(
     check=_check_thm_2_11,
     sampler=rejection_sampler(_draw_bm, _bm_coprime),
     hypothesis=_bm_coprime,
+    keys=("b", "m"),
     notes="in the p ≡ 1 (mod 4), (b^2+4m^2|p) = -1 regime both displays vanish and"
           " the congruences leave the sign free; the quartic-symbol value is recorded",
 ))
@@ -703,6 +711,7 @@ register(Statement(
     sampler=rejection_sampler(
         lambda rng, p: {"a": rng.choice((1, -1)) * rng.randrange(1, 61)}, _a_signed),
     hypothesis=_a_signed,
+    keys=("a",),
     notes="the exponent in the sum is a^(4k); the proof display writes a^(2k) but"
           " its own substitution and direct evaluation both give a^(4k)",
 ))
@@ -799,6 +808,7 @@ register(Statement(
     check=_check_lem_2_5,
     sampler=rejection_sampler(_draw_pq, _pq_split),
     hypothesis=_pq_split,
+    keys=("P", "Q"),
     notes="stated for all admissible P, Q; checked on seeded samples because the"
           " pair space is quadratic in p; either square root of Q gives the same"
           " rows, so the canonical one is used; no admissible pair exists at p = 3",

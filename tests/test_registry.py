@@ -96,12 +96,27 @@ def test_explicit_params_outside_hypothesis_not_applicable(sid, p, params):
     ("thm-2.10", {"b": 1}),  # missing key
     ("thm-3.10", {"a": "x"}),  # non-integer value
     ("thm-2.6", {"zz": 1}),  # the statement takes no parameters
+    ("thm-3.10", {"a": 5, "zz": 5}),  # a key the statement does not take
 ])
 def test_explicit_params_input_errors(sid, params):
     assert issubclass(InvalidParametersError, CongruenceError)
     with pytest.raises(InvalidParametersError) as info:
         check_statement(sid, 13, params=params)
     assert sid in str(info.value) and repr(params) in str(info.value)
+
+
+def test_declared_keys_are_the_drawn_keys():
+    import random
+    from dataclasses import replace
+    from congrkit.registry.engine import REGISTRY, register
+    sampled = [s for s in REGISTRY.values() if s.sampler]
+    assert len(sampled) == 14
+    for stmt in sampled:
+        drawn = stmt.sampler(random.Random(0), 101)
+        assert tuple(drawn) == stmt.keys, stmt.id
+        with pytest.raises(ValueError, match="go together"):
+            register(replace(stmt, id="copy", keys=()))
+    assert "copy" not in REGISTRY
 
 
 def test_disputed_statement_reports_failures():
@@ -209,6 +224,10 @@ def test_cubic_roots_examples():
     assert cubic_roots(1, 0, -1, 7) == {1, 2, 4}
     with pytest.raises(OutOfRangeError):
         cubic_roots(1, 1, 1, 3)
+    # x^3 = 1 mod 9 holds at {1, 4, 7}; the gcd over a field would say {1}
+    for p in (9, 25, 35, 10001):
+        with pytest.raises(OutOfRangeError, match="prime"):
+            cubic_roots(1, 0, -1, p)
 
 
 def test_delta_p_cross_derivation_small():
