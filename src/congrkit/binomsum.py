@@ -2,13 +2,20 @@
 
 Sums of this shape with upper limit about p/a are the left-hand sides of
 most statements in the registry.  Per prime we build factorial tables once,
-so each C(ak, bk) costs two multiplications; a whole sum is a single Horner
-pass over the diagonal sequence.
+so each C(ak, bk) costs two multiplications.  A whole sum is a Horner pass
+run on packed integer lanes: the diagonal C(ak, bk), k = 0..upper, is cut
+into chunks of J ~ sqrt(upper) terms, each chunk packed into one Python int
+with a 72-bit lane per term, so one big-integer multiply advances J Horner
+passes at once (word-parallel arithmetic, Knuth TAOCP 4A, 7.1.3).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
+from math import isqrt
+from operator import mod, mul
+from struct import Struct
 
 from .errors import OutOfRangeError
 from .modarith import inv_mod
@@ -17,11 +24,72 @@ from .modarith import inv_mod
 # at p = 10^6 and grow linearly with p.
 TABLE_PRIME_LIMIT = 2_000_000
 
+# Lanes of the packed sum kernel: 72 bits (9 bytes) each.  Every modulus is
+# below 2^21 and every packed coefficient is a residue.  A lane below 2^46,
+# times a residue, plus a coefficient, stays below 2^67 + 2^21 < 2^72, so no
+# carry crosses into the next lane.  Folding the bits from 45 up back in,
+# times 2^45 mod p, leaves the lane below 2^45 + 2^22 * p < 2^46 again.
+_P_BITS = 21
+_FOLD = 45
+_TWO_FOLD = 1 << _FOLD
+_LANE_BYTES = 9
+if TABLE_PRIME_LIMIT >= 1 << _P_BITS:
+    raise ImportError(
+        f"TABLE_PRIME_LIMIT = {TABLE_PRIME_LIMIT} needs lanes for moduli "
+        f"of at most {_P_BITS} bits")
+
+
+@lru_cache(maxsize=64)
+def _lane_layout(width: int) -> tuple[int, int, Struct]:
+    """Masks of each lane's bits below FOLD and from FOLD up, and the
+    little-endian layout of the lanes, lowest first: 8 bytes of value and
+    one zero byte each."""
+    low = (1 << _FOLD) - 1
+    high = (1 << 8 * _LANE_BYTES - _FOLD) - 1
+    return (int.from_bytes(low.to_bytes(_LANE_BYTES, "little") * width, "little"),
+            int.from_bytes(high.to_bytes(_LANE_BYTES, "little") * width, "little"),
+            Struct("<" + ("Q" + "x" * (_LANE_BYTES - 8)) * width))
+
+
+def pack_lanes(coeffs: list[int], width: int) -> list[int]:
+    """Residues c_0, c_1, ... as ints of `width` lanes: chunk i holds
+    c_{i*width + j} in lane j, bits 72j up to 72j + 71."""
+    lanes = _lane_layout(width)[2]
+    padded = coeffs + [0] * (-len(coeffs) % width)
+    return [int.from_bytes(lanes.pack(*padded[i:i + width]), "little")
+            for i in range(0, len(padded), width)]
+
+
+def eval_packed(chunks: list[int], width: int, m: int, p: int) -> int:
+    """sum_k c_k m^k mod p for the coefficients packed by pack_lanes.
+
+    Lane j gathers sum_i c_{i*width + j} (m^width)^i by a lane-wise Horner
+    pass over the chunks; the lanes are then read out and combined with one
+    Horner pass in m.
+    """
+    low, high, lanes = _lane_layout(width)
+    r = _TWO_FOLD % p
+    step = pow(m, width, p)
+    v = 0
+    for c in reversed(chunks):
+        v = v * step + c
+        v = (v & low) + ((v >> _FOLD) & high) * r
+    # each lane is now below 2^(FOLD+1) < 2^64, so in its low 8 bytes
+    s = 0
+    for lane in reversed(lanes.unpack(v.to_bytes(_LANE_BYTES * width, "little"))):
+        s = (s * m + lane) % p
+    return s
+
+
+def _strided(table: list[int], step: int, n: int):
+    """table[0], table[step], ..., table[(n-1) step]; step 0 repeats table[0]."""
+    return table[:step * n:step] if step else repeat(table[0], n)
+
 
 class ModTables:
     """Factorial and inverse-factorial tables for one odd prime."""
 
-    __slots__ = ("p", "fact", "inv_fact", "_diag")
+    __slots__ = ("p", "fact", "inv_fact", "_packed")
 
     def __init__(self, p: int):
         if p > TABLE_PRIME_LIMIT:
@@ -39,7 +107,8 @@ class ModTables:
             inv_fact[i - 1] = inv_fact[i] * i % p
         self.fact = fact
         self.inv_fact = inv_fact
-        self._diag: dict[tuple[int, int], list[int]] = {}
+        # (a, b, upper) -> (lane count, the diagonal packed by pack_lanes)
+        self._packed: dict[tuple[int, int, int], tuple[int, list[int]]] = {}
 
     def binom(self, n: int, k: int) -> int:
         """C(n, k) mod p for 0 <= n < p; 0 when k is outside [0, n]."""
@@ -70,24 +139,21 @@ class ModTables:
             raise OutOfRangeError(
                 f"a*upper = {a * upper} reaches the modulus {self.p}"
             )
-        key = (a, b)
-        seq = self._diag.get(key)
-        if seq is None or len(seq) <= upper:
-            c = a - b
-            seq = [
-                self.fact[a * k] * self.inv_fact[b * k] % self.p * self.inv_fact[c * k] % self.p
-                for k in range(upper + 1)
-            ]
-            self._diag[key] = seq
-        return seq[: upper + 1]
+        n = max(upper + 1, 0)
+        return list(map(mod, map(mul, map(mul, _strided(self.fact, a, n),
+                                          _strided(self.inv_fact, b, n)),
+                                 _strided(self.inv_fact, a - b, n)),
+                        repeat(self.p)))
 
     def sum_diag_pow(self, a: int, b: int, m: int, upper: int) -> int:
         """sum_{k<=upper} C(ak, bk) m^k mod p with m already a residue."""
-        p = self.p
-        s = 0
-        for c in reversed(self.diag(a, b, upper)):
-            s = (s * m + c) % p
-        return s
+        key = (a, b, upper)
+        packed = self._packed.get(key)
+        if packed is None:
+            seq = self.diag(a, b, upper)
+            width = max(isqrt(len(seq)), 1)
+            packed = self._packed[key] = (width, pack_lanes(seq, width))
+        return eval_packed(packed[1], packed[0], m, self.p)
 
 
 @lru_cache(maxsize=8)
@@ -96,11 +162,11 @@ def mod_tables(p: int) -> ModTables:
 
 
 _SHIFT_LEMMAS = {
-    # name -> (a, scale s); the shift base is n0 = [p/a], and
+    # name -> (a, b, scale s); the shift base is n0 = [p/a], and
     # binom_shift_lemma_check spells out each identity
-    "L2.2": (4, -64),
-    "L2.3": (2, -4),
-    "L3.1": (3, -27),
+    "L2.2": (4, 2, -64),
+    "L2.3": (2, 1, -4),
+    "L3.1": (3, 1, -27),
 }
 
 
@@ -113,23 +179,26 @@ def binom_shift_lemma_check(which: str, p: int) -> bool:
     """
     if which not in _SHIFT_LEMMAS:
         raise OutOfRangeError(f"unknown lemma {which!r}")
-    t = mod_tables(p)
-    if which == "L2.3":
-        n0 = (p - 1) // 2
-        inv_s = inv_mod(-4, p)
-        sk = 1
-        for k in range(1, n0 + 1):
-            sk = sk * inv_s % p
-            if t.binom(n0, k) != t.binom(2 * k, k) * sk % p:
-                return False
-        return True
-    a, s = _SHIFT_LEMMAS[which]
+    a, b, s = _SHIFT_LEMMAS[which]
     n0 = p // a
-    b = a // 2 if which == "L2.2" else 1
+    if a * n0 >= p:
+        raise OutOfRangeError(f"{which} needs C({a}k, {b}k) with {a}k < p = {p}")
+    t = mod_tables(p)
+    fact, inv_fact = t.fact, t.inv_fact
+    c = a - b
     inv_s = inv_mod(s, p)
     sk = 1
+    if which == "L2.3":
+        top = fact[n0]
+        for k in range(1, n0 + 1):
+            sk = sk * inv_s % p
+            if (top * inv_fact[k] % p * inv_fact[n0 - k] % p
+                    != fact[a * k] * inv_fact[b * k] % p * inv_fact[c * k] % p * sk % p):
+                return False
+        return True
     for k in range(1, n0 + 1):
         sk = sk * inv_s % p
-        if t.binom(n0 + k, n0 - k) != t.binom(a * k, b * k) * sk % p:
+        if (fact[n0 + k] * inv_fact[n0 - k] % p * inv_fact[2 * k] % p
+                != fact[a * k] * inv_fact[b * k] % p * inv_fact[c * k] % p * sk % p):
             return False
     return True

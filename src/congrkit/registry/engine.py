@@ -386,8 +386,8 @@ def verify_many(
     """Reports for several ids over all odd primes <= prime_limit.
 
     Primes run in the outer loop so per-prime tables are shared across
-    statements; output is independent of the job count, which is capped at
-    the CPU count and the number of chunks.
+    statements; output is independent of the job count, which must be at
+    least 1 and is capped at the CPU count and the number of chunks.
     """
     for sid in ids:
         _get(sid)
@@ -396,6 +396,8 @@ def verify_many(
     if prime_limit > TABLE_PRIME_LIMIT:
         raise OutOfRangeError(
             f"prime_limit must be at most {TABLE_PRIME_LIMIT}, got {prime_limit}")
+    if jobs < 1:
+        raise OutOfRangeError(f"jobs must be at least 1, got {jobs}")
     primes = [q for q in sieve_primes(prime_limit) if q > 2]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(primes) < 16:

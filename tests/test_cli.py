@@ -132,6 +132,10 @@ def test_compute_sum_bad_input_errors(capsys, extra):
     pytest.param(["represent", "--form", "1,0", "--prime", "13"], id="form-too-short"),
     pytest.param(["compute", "symbol", "--kind", "cubic", "--top", "x", "--bottom", "7"],
                  id="top-not-integer"),
+    pytest.param(["verify", "--id", "thm-3.8", "--max-prime", "50", "--jobs", "0"],
+                 id="jobs-zero"),
+    pytest.param(["verify", "--id", "thm-3.8", "--max-prime", "50", "--jobs", "-3"],
+                 id="jobs-negative"),
 ])
 def test_malformed_input_errors(capsys, argv):
     assert main(argv) == 2

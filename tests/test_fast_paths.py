@@ -3,13 +3,26 @@
 `cubic_roots` finds roots through gcd(f, x^p - x); the oracle scans every
 residue.  `intro-zps` sums C(3k,k) 2^k as two diagonal runs cut out by
 Lucas's theorem; the oracle reads all p - 1 terms through base-p digits.
+`sum_diag_pow` runs Horner on packed integer lanes; the oracle is the scalar
+Horner loop.  The shift lemmas read the factorial tables directly; a
+corrupted table entry must make them fail.
 """
 
+import inspect
 import math
 import random
 
 import pytest
 
+from congrkit import binomsum
+from congrkit.binomsum import (
+    TABLE_PRIME_LIMIT,
+    ModTables,
+    binom_shift_lemma_check,
+    eval_packed,
+    mod_tables,
+    pack_lanes,
+)
 from congrkit.errors import OutOfRangeError
 from congrkit.modarith import is_prime, sieve_primes
 from congrkit.registry import Ctx, cubic_roots
@@ -37,6 +50,18 @@ def zps_loop(ctx):
         pow2 = pow2 * 2 % p
         s = (s + pow2 * ctx.tables.binom_general(3 * k, k)) % p
     return s
+
+
+def horner(coeffs, m, p):
+    """sum of coeffs[k] m^k mod p, one scalar Horner step per term."""
+    s = 0
+    for c in reversed(coeffs):
+        s = (s * m + c) % p
+    return s
+
+
+# every (a, b) whose diagonal the registry sums
+REGISTRY_DIAGONALS = [(3, 1), (4, 2), (6, 2), (6, 3), (8, 4), (10, 5), (12, 6), (20, 10), (24, 12)]
 
 
 def test_cubic_roots_on_the_registry_families():
@@ -89,3 +114,55 @@ def test_zps_sum_next_to_the_run_boundaries(p):
     # the second run is (p+1)/2..[(2p-1)/3]: k = 4 at 7, 6..7 at 11, 7..8 at 13
     exact = sum(math.comb(3 * k, k) * 2**k for k in range(1, p)) % p
     assert _zps_sum(Ctx(p)) == zps_loop(Ctx(p)) == exact
+
+
+def test_sum_diag_pow_matches_horner_on_the_registry_diagonals():
+    rng = random.Random(7)
+    for p in sieve_primes(2000)[1:]:
+        t = mod_tables(p)
+        ms = [0, 1, p - 1] + [rng.randrange(p) for _ in range(3)]
+        for a, b in REGISTRY_DIAGONALS:
+            if p == a:  # C(3, 1) at p = 3 is outside the tables
+                continue
+            diag = [t.binom(a * k, b * k) for k in range(p // a + 1)]
+            for upper in (0, p // a, max(p // a - 3, 0)):
+                for m in ms:
+                    assert t.sum_diag_pow(a, b, m, upper) == horner(diag[:upper + 1], m, p), \
+                        (p, a, b, m, upper)
+
+
+def test_packed_lanes_at_the_largest_table_prime():
+    # every coefficient and m at p - 1, the largest values a lane takes in,
+    # at the largest modulus the tables admit; odd widths make m^width = p - 1
+    p = next(q for q in range(TABLE_PRIME_LIMIT, 0, -1) if is_prime(q))
+    for n in (1, 2, 1001, 5000):
+        coeffs = [p - 1] * n
+        want = p - 1 if n % 2 else 0  # sum of -(-1)^k for k < n
+        assert horner(coeffs, p - 1, p) == want
+        for width in (1, 3, 7, 71, 101):
+            assert eval_packed(pack_lanes(coeffs, width), width, p - 1, p) == want, (n, width)
+
+
+def test_a_table_limit_past_the_lane_bound_fails_at_import():
+    source = inspect.getsource(binomsum)
+    assert "\nTABLE_PRIME_LIMIT = 2_000_000\n" in source
+    source = source.replace("\nTABLE_PRIME_LIMIT = 2_000_000\n", f"\nTABLE_PRIME_LIMIT = {2**21}\n")
+    with pytest.raises(ImportError, match="at most 21 bits"):
+        exec(compile(source, binomsum.__file__, "exec"),
+             {"__name__": "congrkit.binomsum", "__package__": "congrkit"})
+
+
+@pytest.mark.parametrize("which, a", [("L2.2", 4), ("L2.3", 2), ("L3.1", 3)])
+def test_shift_lemmas_fail_on_a_corrupted_table(monkeypatch, which, a):
+    # the lemma reads inv_fact[n0 - k] for k = 1..n0, so each of these
+    # entries is read at some k; only at k = n0/2 in L2.3 do both sides read
+    # inv_fact[k] twice, so that a corrupted entry cancels there
+    p = 101
+    assert binom_shift_lemma_check(which, p)
+    for i in range(p // a):
+        if which == "L2.3" and 2 * i == p // a:
+            continue
+        t = ModTables(p)
+        t.inv_fact[i] = (t.inv_fact[i] + 1) % p
+        monkeypatch.setattr(binomsum, "mod_tables", lambda q: t)
+        assert not binom_shift_lemma_check(which, p), i

@@ -82,6 +82,13 @@ def test_verify_rejects_limit_above_tables_before_sieving(monkeypatch):
         verify_many(["thm-2.6"], TABLE_PRIME_LIMIT + 1)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_verify_rejects_jobs_below_one_before_sieving(monkeypatch, jobs):
+    monkeypatch.setattr(engine, "sieve_primes", None)
+    with pytest.raises(OutOfRangeError, match="jobs"):
+        verify_many(["thm-3.8"], 50, jobs=jobs)
+
+
 @pytest.mark.parametrize("sid, p, params", [
     ("thm-3.10", 13, {"a": 0}),  # a(4-27a) = 0 is no non-residue
     ("thm-2.10", 13, {"b": 13, "m": 1}),  # p | b
