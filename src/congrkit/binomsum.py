@@ -14,14 +14,15 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from math import isqrt
-from operator import mod, mul
+from operator import mod, mul, sub
 from struct import Struct
 
 from .errors import OutOfRangeError
 from .modarith import inv_mod
 
-# Largest prime ModTables accepts.  Its two size-p tables take about 100 MB
-# at p = 10^6 and grow linearly with p.
+# Largest prime ModTables accepts.  Its two size-p tables take about 64 MB
+# at p = 10^6 (half of inv_fact shares its ints with fact) and grow
+# linearly with p.
 TABLE_PRIME_LIMIT = 2_000_000
 
 # Lanes of the packed sum kernel: 72 bits (9 bytes) each.  Every modulus is
@@ -92,19 +93,23 @@ class ModTables:
     __slots__ = ("p", "fact", "inv_fact", "_packed")
 
     def __init__(self, p: int):
-        if p > TABLE_PRIME_LIMIT:
+        if not 3 <= p <= TABLE_PRIME_LIMIT:
             raise OutOfRangeError(
-                f"tables are built for p <= {TABLE_PRIME_LIMIT}, got p = {p}")
+                f"tables are built for odd primes 3 <= p <= {TABLE_PRIME_LIMIT}, "
+                f"got p = {p}")
         self.p = p
         fact = [1] * p
         f = 1
         for i in range(1, p):
             f = f * i % p
             fact[i] = f
-        inv_fact = [1] * p
-        inv_fact[p - 1] = inv_mod(fact[p - 1], p)
-        for i in range(p - 1, 0, -1):
-            inv_fact[i - 1] = inv_fact[i] * i % p
+        # Wilson's theorem and its converse: (p-1)! = -1 mod p iff p is prime
+        if fact[p - 1] != p - 1:
+            raise OutOfRangeError(f"tables need a prime modulus, got p = {p}")
+        # Wilson's reflection k! (p-1-k)! = (-1)^(k+1) gives 1/k! from
+        # (p-1-k)!, negated at even k
+        inv_fact = fact[::-1]
+        inv_fact[::2] = map(sub, repeat(p), inv_fact[::2])
         self.fact = fact
         self.inv_fact = inv_fact
         # (a, b, upper) -> (lane count, the diagonal packed by pack_lanes)
@@ -134,7 +139,10 @@ class ModTables:
         return out
 
     def diag(self, a: int, b: int, upper: int) -> list[int]:
-        """[C(a k, b k) mod p for k = 0..upper]; requires a * upper < p."""
+        """[C(a k, b k) mod p for k = 0..upper]; requires 0 <= b <= a and
+        a * upper < p."""
+        if not 0 <= b <= a:
+            raise OutOfRangeError(f"diagonal needs 0 <= b <= a, got a = {a}, b = {b}")
         if a * upper >= self.p:
             raise OutOfRangeError(
                 f"a*upper = {a * upper} reaches the modulus {self.p}"

@@ -49,6 +49,17 @@ def test_tables_diag_and_guard():
     assert t7.binom_general(7, 2) == 0
 
 
+def test_diag_and_sum_refuse_b_outside_0_to_a():
+    # diag(1, 2, 5) at 101 used to give 5 entries of garbage
+    t = ModTables(101)
+    for a, b in [(1, 2), (2, -1), (0, 1)]:
+        with pytest.raises(OutOfRangeError, match="0 <= b <= a"):
+            t.diag(a, b, 5)
+        with pytest.raises(OutOfRangeError, match="0 <= b <= a"):
+            t.sum_diag_pow(a, b, 1, 5)
+    assert t.diag(1, 0, 5) == t.diag(1, 1, 5) == [1] * 6
+
+
 def test_mod_tables_cached():
     assert mod_tables(101) is mod_tables(101)
 
@@ -98,3 +109,13 @@ def test_tables_refuse_primes_above_the_limit():
         ModTables(p)
     with pytest.raises(OutOfRangeError):
         mod_tables(p)
+
+
+@pytest.mark.parametrize("n", [0, -3, 1, 2, 4, 9, 15, 561])
+def test_tables_refuse_a_modulus_that_is_not_an_odd_prime(n):
+    # below 3 by the range check, a composite (561 is a Carmichael number)
+    # by Wilson's theorem: (n-1)! = -1 mod n only for a prime n
+    with pytest.raises(OutOfRangeError, match=f"p = {n}$"):
+        ModTables(n)
+    with pytest.raises(OutOfRangeError, match=f"p = {n}$"):
+        mod_tables(n)

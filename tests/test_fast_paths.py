@@ -5,7 +5,9 @@ residue.  `intro-zps` sums C(3k,k) 2^k as two diagonal runs cut out by
 Lucas's theorem; the oracle reads all p - 1 terms through base-p digits.
 `sum_diag_pow` runs Horner on packed integer lanes; the oracle is the scalar
 Horner loop.  The shift lemmas read the factorial tables directly; a
-corrupted table entry must make them fail.
+corrupted table entry must make them fail.  `ModTables` takes 1/k! from
+(p-1-k)! by Wilson's reflection; the oracle is the two-loop build, k! by a
+forward loop and 1/k! by a backward loop down from 1/(p-1)!.
 """
 
 import inspect
@@ -24,7 +26,7 @@ from congrkit.binomsum import (
     pack_lanes,
 )
 from congrkit.errors import OutOfRangeError
-from congrkit.modarith import is_prime, sieve_primes
+from congrkit.modarith import inv_mod, is_prime, sieve_primes
 from congrkit.registry import Ctx, cubic_roots
 from congrkit.registry.statements_binom3 import _zps_sum
 
@@ -58,6 +60,18 @@ def horner(coeffs, m, p):
     for c in reversed(coeffs):
         s = (s * m + c) % p
     return s
+
+
+def two_loop_tables(p):
+    """k! and 1/k! mod p for k < p: a forward and a backward loop."""
+    fact = [1] * p
+    for i in range(1, p):
+        fact[i] = fact[i - 1] * i % p
+    inv_fact = [1] * p
+    inv_fact[p - 1] = inv_mod(fact[p - 1], p)
+    for i in range(p - 1, 0, -1):
+        inv_fact[i - 1] = inv_fact[i] * i % p
+    return fact, inv_fact
 
 
 # every (a, b) whose diagonal the registry sums
@@ -114,6 +128,15 @@ def test_zps_sum_next_to_the_run_boundaries(p):
     # the second run is (p+1)/2..[(2p-1)/3]: k = 4 at 7, 6..7 at 11, 7..8 at 13
     exact = sum(math.comb(3 * k, k) * 2**k for k in range(1, p)) % p
     assert _zps_sum(Ctx(p)) == zps_loop(Ctx(p)) == exact
+
+
+@pytest.mark.parametrize("primes", [sieve_primes(2000)[1:], [100_003]],
+                         ids=["odd-primes-to-2000", "100003"])
+def test_one_pass_tables_match_the_two_loops(primes):
+    for p in primes:
+        t = ModTables(p)
+        assert (t.fact, t.inv_fact) == two_loop_tables(p), p
+        assert all(f * g % p == 1 for f, g in zip(t.fact, t.inv_fact)), p
 
 
 def test_sum_diag_pow_matches_horner_on_the_registry_diagonals():

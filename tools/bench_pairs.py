@@ -87,6 +87,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error(f"--pairs must be at least 1, got {args.pairs}")
 
     parent_sha = git("rev-parse", args.parent).decode().strip()
     record = {
@@ -103,7 +105,7 @@ def main() -> int:
     bad = False
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         with tarfile.open(fileobj=io.BytesIO(git("archive", parent_sha))) as tar:
-            tar.extractall(tmp)
+            tar.extractall(tmp, filter="data")
         trees = {"parent": Path(tmp), "change": ROOT}
         for name in names:
             runs: list[dict] = []
