@@ -50,7 +50,6 @@ def test_tables_diag_and_guard():
 
 
 def test_diag_and_sum_refuse_b_outside_0_to_a():
-    # diag(1, 2, 5) at 101 used to give 5 entries of garbage
     t = ModTables(101)
     for a, b in [(1, 2), (2, -1), (0, 1)]:
         with pytest.raises(OutOfRangeError, match="0 <= b <= a"):
