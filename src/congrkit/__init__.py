@@ -14,7 +14,6 @@ from .combsum import (
     t0_closed,
     t5_row_claim,
     t10_lucas_identity,
-    t12_v_identities,
     t_recurrences_check,
     t_sum_exact,
 )
@@ -25,7 +24,6 @@ from .cyclotomic import (
     UnityRoot4,
     cubic_character,
     cubic_symbol,
-    k_factor,
     quartic_character,
     quartic_symbol,
 )
@@ -43,7 +41,6 @@ from .modarith import (
 from .qform import (
     ClassMatch,
     QuadForm,
-    Representation,
     class_group,
     classify_by_class,
     reduce,
@@ -72,7 +69,6 @@ __all__ = [
     "QuadForm",
     "Rational",
     "Report",
-    "Representation",
     "TSumKey",
     "UnityRoot3",
     "UnityRoot4",
@@ -92,7 +88,6 @@ __all__ = [
     "inv_mod",
     "is_prime",
     "jacobi",
-    "k_factor",
     "lucas_uv_exact",
     "mod_tables",
     "quartic_character",
@@ -105,7 +100,6 @@ __all__ = [
     "sqrt_mod",
     "t0_closed",
     "t10_lucas_identity",
-    "t12_v_identities",
     "t5_row_claim",
     "t_recurrences_check",
     "t_sum_exact",

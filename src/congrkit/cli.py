@@ -106,8 +106,7 @@ def cmd_represent(args) -> int:
     except ValueError:
         raise CongruenceError(f"--form must be integers 'a,b,c', got {args.form!r}") from None
     p = _require_prime(args.prime)
-    reps = represent(QuadForm(a, b, c), p)
-    print(" ".join(f"({r.x},{r.y})" for r in reps))
+    print(" ".join(f"({x},{y})" for x, y in represent(QuadForm(a, b, c), p)))
     return 0
 
 

@@ -114,14 +114,6 @@ def _lucas_number(n: int) -> int:
     return a
 
 
-def _lucas_v41(n: int) -> int:
-    """Exact V_n(4, 1), unguarded internal iteration."""
-    a, b = 2, 4
-    for _ in range(n):
-        a, b = b, 4 * b - a
-    return a
-
-
 def delta5(r: int, n: int) -> int:
     """5 T_{(n-1)/2 + r (5)}^n - 2^n for odd n; 5 T_{n/2 + r (5)}^n - 2^n for even."""
     if n < 1:
@@ -187,28 +179,3 @@ def t10_lucas_identity(p: int) -> tuple[int, int]:
     n = (p - 1) // 2
     return 10 * t_sum_exact(TSumKey(n, 10, 0)) - 2**n, -2 * _lucas_number(n)
 
-
-def t12_v_identities(p: int) -> list[tuple[int, int]]:
-    """The three exact m=12 combinations for primes p = 13 (mod 24).
-
-    Returns [(lhs, rhs)] for:
-      12 T_{0(12)}^{(p-3)/2} - 2^{(p-3)/2}  = 1 - 3^e + s (2^e - V_{(p-5)/4}(4,1))
-      12 T_{11(12)}^{(p-3)/2} - 2^{(p-3)/2} = 1 - 3^e - s (2^e - V_{(p-5)/4}(4,1))
-      12 T_{0(12)}^{(p-1)/2} - 2^{(p-1)/2}  = 2 (1 - 3^e)
-    with e = (p-1)/4 and s = (-1)^{(p-5)/8}.
-    """
-    if p % 24 != 13:
-        raise OutOfRangeError("identities stated for p = 13 (mod 24)")
-    e = (p - 1) // 4
-    s = (-1) ** ((p - 5) // 8)
-    v = _lucas_v41((p - 5) // 4)
-    n = (p - 3) // 2
-    out = [
-        (12 * t_sum_exact(TSumKey(n, 12, 0)) - 2**n, 1 - 3**e + s * (2**e - v)),
-        (12 * t_sum_exact(TSumKey(n, 12, 11)) - 2**n, 1 - 3**e - s * (2**e - v)),
-        (
-            12 * t_sum_exact(TSumKey(n + 1, 12, 0)) - 2 ** (n + 1),
-            2 * (1 - 3**e),
-        ),
-    ]
-    return out

@@ -1,4 +1,4 @@
-"""Gaussian and Eisenstein integer arithmetic and power-residue symbols.
+"""Gaussian and Eisenstein integers, their norms, and power-residue symbols.
 
 The cubic symbol of a + b*w (w a primitive cube root of unity) for a
 rational modulus m coprime to 3 is assembled multiplicatively from m's
@@ -20,11 +20,10 @@ from math import gcd
 
 from .errors import (
     CongruenceError,
-    DegenerateInputError,
     ModulusDivisibleBy3Error,
     NotCoprimeError,
 )
-from .modarith import inv_mod, sqrt_mod
+from .modarith import inv_mod, is_prime, sqrt_mod
 
 
 @dataclass(frozen=True)
@@ -35,15 +34,6 @@ class GaussianInt:
     @property
     def norm(self) -> int:
         return self.re * self.re + self.im * self.im
-
-    def conj(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
-
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
 
     def __str__(self) -> str:
         return f"{self.re}{self.im:+d}i"
@@ -58,15 +48,6 @@ class EisensteinInt:
     def norm(self) -> int:
         return self.a * self.a - self.a * self.b + self.b * self.b
 
-    def conj(self) -> "EisensteinInt":
-        # conjugate of a + b w is (a - b) - b w
-        return EisensteinInt(self.a - self.b, -self.b)
-
-    def __mul__(self, other: "EisensteinInt") -> "EisensteinInt":
-        # w^2 = -1 - w
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return EisensteinInt(a * c - b * d, a * d + b * c - b * d)
-
     def __str__(self) -> str:
         return f"{self.a}{self.b:+d}w"
 
@@ -79,12 +60,6 @@ class UnityRoot3:
         if self.exponent not in (0, 1, 2):
             raise CongruenceError(f"exponent {self.exponent} not canonical")
 
-    def __mul__(self, other: "UnityRoot3") -> "UnityRoot3":
-        return UnityRoot3((self.exponent + other.exponent) % 3)
-
-    def __str__(self) -> str:
-        return f"w^{self.exponent}"
-
 
 @dataclass(frozen=True)
 class UnityRoot4:
@@ -93,12 +68,6 @@ class UnityRoot4:
     def __post_init__(self):
         if self.exponent not in (0, 1, 2, 3):
             raise CongruenceError(f"exponent {self.exponent} not canonical")
-
-    def __mul__(self, other: "UnityRoot4") -> "UnityRoot4":
-        return UnityRoot4((self.exponent + other.exponent) % 4)
-
-    def __str__(self) -> str:
-        return f"i^{self.exponent}"
 
 
 def _quad_pow(x0: int, x1: int, e: int, p: int, c0: int, c1: int) -> tuple[int, int]:
@@ -220,17 +189,19 @@ def _quartic_exp_inert(alpha: GaussianInt, p: int) -> int:
     return targets[key]
 
 
-def quartic_symbol(alpha: GaussianInt, p: int) -> UnityRoot4:
-    """Quartic Jacobi symbol of alpha for an odd prime p."""
-    if p < 3 or p % 2 == 0:
+def _quartic_guard(alpha: GaussianInt, p: int) -> None:
+    if p < 3 or not is_prime(p):
         raise NotCoprimeError(f"modulus {p} must be an odd prime")
     if alpha.norm % p == 0:
         raise NotCoprimeError(f"norm of {alpha} is divisible by {p}")
+
+
+def quartic_symbol(alpha: GaussianInt, p: int) -> UnityRoot4:
+    """Quartic Jacobi symbol of alpha for an odd prime p."""
+    _quartic_guard(alpha, p)
     if p % 4 == 3:
         return UnityRoot4(_quartic_exp_inert(alpha, p))
     u = sqrt_mod(p - 1, p)
-    if u is None:
-        raise NotCoprimeError(f"{p} is not prime: -1 has no square root")
     return UnityRoot4((_quartic_exp_split(alpha, p, u) + _quartic_exp_split(alpha, p, p - u)) % 4)
 
 
@@ -240,63 +211,8 @@ def quartic_character(alpha: GaussianInt, p: int) -> UnityRoot4:
     For rational a and p = 1 (mod 4): value i^0 exactly when a is a fourth
     power mod p, and its square matches the quadratic character of a.
     """
-    if p < 3 or p % 2 == 0:
-        raise NotCoprimeError(f"modulus {p} must be an odd prime")
-    if alpha.norm % p == 0:
-        raise NotCoprimeError(f"norm of {alpha} is divisible by {p}")
+    _quartic_guard(alpha, p)
     if p % 4 == 3:
         return UnityRoot4(_quartic_exp_inert(alpha, p))
     u = sqrt_mod(p - 1, p)
-    if u is None:
-        raise NotCoprimeError(f"{p} is not prime: -1 has no square root")
     return UnityRoot4(_quartic_exp_split(alpha, p, min(u, p - u)))
-
-
-def k_factor(u: int, v: int, d: int) -> int:
-    """The auxiliary multiplier k(u, v, d) built from u^2 - d v^2.
-
-    Writing u^2 - d v^2 = 2^alpha 3^r W with W coprime to 6, and w for the
-    product of the distinct primes of W:
-      k2 = 2 when d = 2, 3 (mod 4), or when d = 1 (mod 8) with alpha > 0 and
-           alpha = 0, 1 (mod 3); else 1.
-      k3 = 3^(ord3(v)+1) when 3 | r and 3 does not divide u;
-           9 when 3 does not divide r or u;
-           3 when r is not 2 (mod 3), 3 | u and 9 does not divide u;
-           else 1.
-      k  = k2 k3 w / gcd(u, w).
-    """
-    n = u * u - d * v * v
-    if d == 0 or v == 0 or n == 0 or gcd(u, v) != 1:
-        raise DegenerateInputError(f"k({u},{v},{d}) needs d v (u^2 - d v^2) != 0, gcd(u,v)=1")
-    m = abs(n)
-    alpha = 0
-    while m % 2 == 0:
-        m //= 2
-        alpha += 1
-    r = 0
-    while m % 3 == 0:
-        m //= 3
-        r += 1
-    w = 1
-    for q, _ in _factorize(m):
-        w *= q
-    if d % 4 in (2, 3):
-        k2 = 2
-    elif d % 8 == 1 and alpha > 0 and alpha % 3 in (0, 1):
-        k2 = 2
-    else:
-        k2 = 1
-    ord3v = 0
-    vv = abs(v)
-    while vv % 3 == 0:
-        vv //= 3
-        ord3v += 1
-    if r % 3 == 0 and u % 3 != 0:
-        k3 = 3 ** (ord3v + 1)
-    elif r % 3 != 0 and u % 3 != 0:
-        k3 = 9
-    elif (r - 2) % 3 != 0 and u % 3 == 0 and u % 9 != 0:
-        k3 = 3
-    else:
-        k3 = 1
-    return k2 * k3 * w // gcd(abs(u), w)

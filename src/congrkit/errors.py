@@ -57,10 +57,6 @@ class ModulusDivisibleBy3Error(CongruenceError):
     """Cubic symbol bottom divisible by 3."""
 
 
-class DegenerateInputError(CongruenceError):
-    """Input collapses a case split (e.g. u^2 = d v^2 exactly)."""
-
-
 class UnknownIdError(CongruenceError):
     """Statement id not present in the registry."""
 

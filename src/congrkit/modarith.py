@@ -12,6 +12,7 @@ from fractions import Fraction
 from .errors import (
     DenominatorDivisibleError,
     EvenModulusError,
+    OutOfRangeError,
     ZeroInverseError,
 )
 
@@ -90,7 +91,10 @@ def jacobi(a: int, n: int) -> int:
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a mod odd prime p, or None when a is a non-residue."""
+    """A square root of a mod odd prime p, or None when a is a non-residue.
+
+    A composite p on which the search for a non-residue or the
+    Tonelli-Shanks chain would not end raises OutOfRangeError."""
     a %= p
     if a == 0:
         return 0
@@ -106,6 +110,8 @@ def sqrt_mod(a: int, p: int) -> int | None:
     z = 2
     while jacobi(z, p) != -1:
         z += 1
+        if z == p:
+            raise OutOfRangeError(f"{p} is not prime")
     c = pow(z, q, p)
     x = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)
@@ -115,6 +121,8 @@ def sqrt_mod(a: int, p: int) -> int | None:
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
+            if i == m:
+                raise OutOfRangeError(f"{p} is not prime")
         b = pow(c, 1 << (m - i - 1), p)
         x = x * b % p
         t = t * b * b % p

@@ -20,7 +20,7 @@ from .errors import (
     NotOneModFourError,
     OutOfRangeError,
 )
-from .modarith import sqrt_mod
+from .modarith import is_prime, sqrt_mod
 
 
 @dataclass(frozen=True)
@@ -47,18 +47,6 @@ class QuadForm:
 
     def __str__(self) -> str:
         return f"[{self.a},{self.b},{self.c}]"
-
-
-@dataclass(frozen=True)
-class Representation:
-    x: int
-    y: int
-    form: QuadForm
-    p: int
-
-    def __post_init__(self):
-        if self.form.value(self.x, self.y) != self.p:
-            raise OutOfRangeError(f"({self.x},{self.y}) does not solve {self.form} = {self.p}")
 
 
 def _check_definite(f: QuadForm):
@@ -110,8 +98,8 @@ def class_group(D: int) -> list[QuadForm]:
     return sorted(out, key=lambda f: (f.a, f.b))
 
 
-def represent(f: QuadForm, p: int) -> list[Representation]:
-    """All integer (x, y) with f(x, y) = p, sorted by (x, y).
+def represent(f: QuadForm, p: int) -> list[tuple[int, int]]:
+    """All integer pairs (x, y) with f(x, y) = p, sorted.
 
     Complete: any solution has |y| <= sqrt(4 a p / |D|), so scanning y in
     that window and solving the quadratic in x finds everything.
@@ -135,17 +123,17 @@ def represent(f: QuadForm, p: int) -> list[Representation]:
         for sign in ((1,) if s == 0 else (1, -1)):
             num = -bb + sign * s
             if num % (2 * f.a) == 0:
-                found.append(Representation(num // (2 * f.a), y, f, target))
-    return sorted(found, key=lambda r: (r.x, r.y))
+                found.append((num // (2 * f.a), y))
+    return sorted(found)
 
 
 def two_squares(p: int) -> tuple[int, int]:
-    """(c, d) with p = c^2 + d^2, c odd, d even, both positive."""
+    """(c, d) with p = c^2 + d^2, c odd, d even, both positive, for a prime p."""
     if p % 4 != 1:
         raise NotOneModFourError(f"{p} is not 1 mod 4")
+    if not is_prime(p):
+        raise OutOfRangeError(f"{p} is not prime")
     root = sqrt_mod(p - 1, p)
-    if root is None:
-        raise NotOneModFourError(f"{p} is not prime: -1 has no square root")
     a, b = p, min(root, p - root)
     while b * b > p:
         a, b = b, a % b
@@ -158,7 +146,7 @@ def two_squares(p: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class ClassMatch:
     index: int
-    representations: tuple[Representation, ...]
+    representations: tuple[tuple[int, int], ...]
 
 
 def classify_by_class(p: int, D: int, targets: list[QuadForm]) -> ClassMatch:

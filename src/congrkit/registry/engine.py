@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd
 from multiprocessing import get_context
 from typing import Any, Callable
@@ -90,8 +90,7 @@ class Ctx:
     def reps(self, form: QuadForm) -> tuple[tuple[int, int], ...]:
         got = self._reps.get(form)
         if got is None:
-            got = tuple((r.x, r.y) for r in represent(form, self.p))
-            self._reps[form] = got
+            got = self._reps[form] = tuple(represent(form, self.p))
         return got
 
     def classify(self, D: int, targets: tuple[QuadForm, ...]) -> ClassMatch:
@@ -148,18 +147,6 @@ class Report:
     not_applicable: int
     failures: list[dict]
     status: str
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "prime_limit": self.prime_limit,
-            "checked": self.checked,
-            "passed": self.passed,
-            "failed": self.failed,
-            "not_applicable": self.not_applicable,
-            "failures": self.failures,
-            "status": self.status,
-        }
 
 
 REGISTRY: dict[str, Statement] = {}
@@ -237,6 +224,39 @@ def row_check(lhs: Callable[[Ctx], int], table: CaseTable) -> Callable:
         return Outcome(s == rhs, s, label, rhs)
 
     return check
+
+
+def _rep_sub_rows(ctx: Ctx, lhs_values, form, rows, label_prefix=""):
+    """Sub-dispatch on a congruence property of the representation; across
+    all sign variants exactly one sub-row may fire, and every variant that
+    fires it must give the same value."""
+    p = ctx.p
+    reps = ctx.reps(form)
+    if not reps:
+        raise RowDispatchViolationError(
+            f"at p={p}: {form} has no representation")
+    hit = None
+    vals = set()
+    hits = []
+    for x, y in reps:
+        for label, pred, val in rows:
+            if pred(x, y):
+                if hit not in (None, label):
+                    raise RowDispatchViolationError(
+                        f"at p={p}: representations of {form} match distinct sub-rows")
+                hit = label
+                vals.add(val(x, y) % p)
+                hits.append((x, y))
+    if hit is None:
+        raise RowDispatchViolationError(
+            f"at p={p}: no representation of {form} matches a sub-row")
+    label = label_prefix + hit
+    if len(vals) != 1:
+        return Outcome(False, lhs_values, label, sorted(vals), {"reps": hits})
+    rhs = vals.pop()
+    lhs_list = lhs_values if isinstance(lhs_values, list) else [lhs_values]
+    ok = all(v == rhs for v in lhs_list)
+    return Outcome(ok, lhs_values, label, rhs, {"rep": list(hits[0])})
 
 
 def rejection_sampler(draw: Callable, hypothesis: Callable) -> Callable:
@@ -389,6 +409,7 @@ def verify_many(
     statements; output is independent of the job count, which must be at
     least 1 and is capped at the CPU count and the number of chunks.
     """
+    ids = list(dict.fromkeys(ids))  # a repeated id is checked and reported once
     for sid in ids:
         _get(sid)
     if prime_limit < 5:
@@ -424,7 +445,7 @@ def verify_range(
 def reports_json(reports: list[Report]) -> str:
     """Canonical JSON for a list of reports (stable key order, trailing \\n)."""
     return (
-        json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
+        json.dumps([asdict(r) for r in reports], indent=2, sort_keys=True) + "\n"
     )
 
 

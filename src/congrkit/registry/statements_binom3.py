@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from ..binomsum import binom_shift_lemma_check
 from ..cyclotomic import EisensteinInt, cubic_symbol
-from ..errors import RowDispatchViolationError
 from ..modarith import jacobi
 from ..qform import QuadForm
 from .engine import (
@@ -18,6 +17,7 @@ from .engine import (
     Ctx,
     Outcome,
     Statement,
+    _rep_sub_rows,
     cubic_roots,
     register,
     rejection_sampler,
@@ -46,7 +46,7 @@ def _form_table(ctx: Ctx, lhs, disc, rows, label_prefix=""):
     match = ctx.classify(disc, tuple(QuadForm(*f) for f, _ in rows))
     form, coefs = rows[match.index]
     label = label_prefix + f"p represented by [{form[0]},{form[1]},{form[2]}]"
-    reps = [(r.x, r.y) for r in match.representations]
+    reps = list(match.representations)
     if coefs is None:
         return Outcome(lhs == 1, lhs, label, 1, {"rep": list(reps[0])})
     cx, cy, cden = coefs
@@ -60,39 +60,6 @@ def _form_table(ctx: Ctx, lhs, disc, rows, label_prefix=""):
                        {"reps": reps, "note": "value depends on representation"})
     rhs = vals.pop()
     return Outcome(lhs == rhs, lhs, label, rhs, {"rep": list(good[0])})
-
-
-def _rep_sub_rows(ctx: Ctx, lhs_values, form, rows, label_prefix):
-    """Sub-dispatch on a congruence property of the representation; across
-    all sign variants exactly one sub-row may fire, and every variant that
-    fires it must give the same value."""
-    p = ctx.p
-    reps = ctx.reps(form)
-    if not reps:
-        raise RowDispatchViolationError(
-            f"at p={p}: {form} has no representation")
-    hit = None
-    vals = set()
-    hits = []
-    for x, y in reps:
-        for label, pred, val in rows:
-            if pred(x, y):
-                if hit not in (None, label):
-                    raise RowDispatchViolationError(
-                        f"at p={p}: representations of {form} match distinct sub-rows")
-                hit = label
-                vals.add(val(x, y) % p)
-                hits.append((x, y))
-    if hit is None:
-        raise RowDispatchViolationError(
-            f"at p={p}: no representation of {form} matches a sub-row")
-    label = label_prefix + hit
-    if len(vals) != 1:
-        return Outcome(False, lhs_values, label, sorted(vals), {"reps": hits})
-    rhs = vals.pop()
-    lhs_list = lhs_values if isinstance(lhs_values, list) else [lhs_values]
-    ok = all(v == rhs for v in lhs_list)
-    return Outcome(ok, lhs_values, label, rhs, {"rep": list(hits[0])})
 
 
 # ----------------------------------------------------------- statements
@@ -456,9 +423,9 @@ register(Statement(
 # -------------------------------- Lucas classification at two parameter pairs
 
 _L33_INSTANCES = (
-    ("(9,3)", dict(P=9, Q=3, d=69, f=1, k=1, disc=-207, bottom=23,
+    ("(9,3)", dict(P=9, Q=3, d=69, disc=-207, bottom=23,
                    targets=((1, 1, 52), (23, -23, 8), (13, 1, 4), (29, 5, 2)))),
-    ("(9,-3)", dict(P=9, Q=-3, d=93, f=1, k=1, disc=-279, bottom=31,
+    ("(9,-3)", dict(P=9, Q=-3, d=93, disc=-279, bottom=31,
                     targets=((1, 1, 70), (31, -31, 10), (35, 29, 8), (5, 1, 14),
                              (7, 1, 10), (19, 5, 4), (35, 1, 2)))),
 )
@@ -466,7 +433,7 @@ _L33_INSTANCES = (
 
 def _l33_one(ctx: Ctx, name, inst):
     p = ctx.p
-    P, Q, d, f, k = inst["P"], inst["Q"], inst["d"], inst["f"], inst["k"]
+    P, Q, d = inst["P"], inst["Q"], inst["d"]
     match = ctx.classify(inst["disc"], tuple(QuadForm(*t) for t in inst["targets"]))
     a0, b0, c0 = inst["targets"][match.index]
     s = cubic_symbol(EisensteinInt(b0 - 9, -18), a0).exponent
@@ -481,10 +448,10 @@ def _l33_one(ctx: Ctx, name, inst):
     else:
         if u == 0:
             return Outcome(False, u, label + ", U != 0", None)
-        good = [(r.x, r.y) for r in match.representations if r.y % p]
+        good = [(x, y) for x, y in match.representations if y % p]
         if good:
             sign = -1 if s == 1 else 1
-            vals = {sign * ctx.fr(2 * a0 * x + b0 * y, k * d * f * y) * base % p
+            vals = {sign * ctx.fr(2 * a0 * x + b0 * y, d * y) * base % p
                     for x, y in good}
             if len(vals) != 1:
                 return Outcome(False, u, label, sorted(vals), {"reps": good})

@@ -18,7 +18,6 @@ from ..errors import (
     CongruenceError,
     NotCoprimeError,
     OutOfRangeError,
-    RowDispatchViolationError,
 )
 from ..modarith import is_prime, jacobi, sqrt_mod
 from ..qform import QuadForm
@@ -27,6 +26,7 @@ from .engine import (
     Ctx,
     Outcome,
     Statement,
+    _rep_sub_rows,
     _sign_pow,
     register,
     rejection_sampler,
@@ -381,35 +381,19 @@ register(Statement(
 
 
 def _check_thm_2_8(ctx: Ctx, params) -> Outcome:
+    """One sub-row per residue class: "y even" for p ≡ 1,9,13,37 (mod 40)
+    (every representation has even y there), "4 | x-y" for p ≡ 11,19."""
     p = ctx.p
     s = ctx.sum_binom(4, 2, -1, 144)
     sign3 = _sign_pow(p // 3)
-    r = p % 40
-    if r in (1, 9, 13, 37):
-        even = r in (1, 9)
-        form = QuadForm(1, 0, 10) if even else QuadForm(5, 0, 2)
-        label = ("p = x^2+10y^2, p ≡ 1,9 (mod 40)" if even
-                 else "p = 5x^2+2y^2, p ≡ 13,37 (mod 40)")
-        reps = ctx.reps(form)
-        if not reps or any(y % 2 for _x, y in reps):
-            raise RowDispatchViolationError(
-                f"thm-2.8 at p={p}: expected representations with even y, got {reps}")
-        vals = {sign3 * _sign_pow(abs(y) // 2) % p for _x, y in reps}
-        if len(vals) != 1:
-            return Outcome(False, s, label, sorted(vals), {"reps": list(reps)})
-        rhs = vals.pop()
-        return Outcome(s == rhs, s, label, rhs, {"rep": list(reps[0])})
-    form = QuadForm(1, 0, 10)
-    label = "p = x^2+10y^2 with 4 | x-y, p ≡ 11,19 (mod 40)"
-    good = [(x, y) for x, y in ctx.reps(form) if (x - y) % 4 == 0]
-    if not good:
-        raise RowDispatchViolationError(
-            f"thm-2.8 at p={p}: no representation with 4 | x-y")
-    vals = {sign3 * ctx.fr(y, x) % p for x, y in good}
-    if len(vals) != 1:
-        return Outcome(False, s, label, sorted(vals), {"reps": good})
-    rhs = vals.pop()
-    return Outcome(s == rhs, s, label, rhs, {"rep": list(good[0])})
+    if p % 40 in (11, 19):
+        return _rep_sub_rows(ctx, s, QuadForm(1, 0, 10), [(
+            "p = x^2+10y^2 with 4 | x-y, p ≡ 11,19 (mod 40)",
+            lambda x, y: (x - y) % 4 == 0, lambda x, y: sign3 * ctx.fr(y, x))])
+    form, label = ((QuadForm(1, 0, 10), "p = x^2+10y^2, p ≡ 1,9 (mod 40)") if p % 40 in (1, 9)
+                   else (QuadForm(5, 0, 2), "p = 5x^2+2y^2, p ≡ 13,37 (mod 40)"))
+    return _rep_sub_rows(ctx, s, form, [(
+        label, lambda x, y: y % 2 == 0, lambda x, y: sign3 * _sign_pow(abs(y) // 2))])
 
 
 register(Statement(

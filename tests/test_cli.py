@@ -85,6 +85,13 @@ def test_verify_text_and_exit_zero(capsys):
     assert "thm-2.6" in out and "failed=0" in out
 
 
+def test_verify_repeated_id_reports_once(capsys):
+    assert main(["verify", "--id", "thm-3.8", "--id", "thm-3.8", "--max-prime", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert "checked=6 " in lines[0] and lines[0].endswith("na=18")
+
+
 def test_verify_unknown_id_exits_2(capsys):
     assert main(["verify", "--id", "no-such-id", "--max-prime", "100"]) == 2
     assert "no-such-id" in capsys.readouterr().err

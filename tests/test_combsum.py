@@ -12,7 +12,6 @@ from congrkit.combsum import (
     delta5_findings,
     t0_closed,
     t10_lucas_identity,
-    t12_v_identities,
     t5_row_claim,
     t_recurrences_check,
     t_sum_exact,
@@ -130,13 +129,3 @@ def test_t10_identity_frozen_and_range():
             assert lhs == rhs
     with pytest.raises(OutOfRangeError):
         t10_lucas_identity(13)
-
-
-def test_t12_identities():
-    vals = t12_v_identities(13)
-    assert vals == [(-20, -20), (-32, -32), (-52, -52)]
-    for p in sieve_primes(800):
-        if p % 24 == 13:
-            assert all(l == r for l, r in t12_v_identities(p))
-    with pytest.raises(OutOfRangeError):
-        t12_v_identities(11)

@@ -5,7 +5,15 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from congrkit.errors import DenominatorDivisibleError, EvenModulusError, ZeroInverseError
+from congrkit.cyclotomic import GaussianInt, quartic_character, quartic_symbol
+from congrkit.errors import (
+    CongruenceError,
+    DenominatorDivisibleError,
+    EvenModulusError,
+    NotCoprimeError,
+    OutOfRangeError,
+    ZeroInverseError,
+)
 from congrkit.modarith import (
     frac_mod,
     inv_mod,
@@ -14,6 +22,7 @@ from congrkit.modarith import (
     sieve_primes,
     sqrt_mod,
 )
+from congrkit.qform import two_squares
 from congrkit.registry import Ctx
 from fractions import Fraction
 
@@ -92,6 +101,22 @@ def test_sqrt_mod_roundtrip(p, a):
         assert r is None
     else:
         assert r is not None and r * r % p == a
+
+
+@pytest.mark.parametrize("fn, args, error", [
+    (sqrt_mod, (8, 9), OutOfRangeError),  # no z has (z|9) = -1
+    (sqrt_mod, (4, 21), OutOfRangeError),  # the Tonelli-Shanks chain never reaches 1
+    (sqrt_mod, (2, 33), OutOfRangeError),
+    (two_squares, (9,), OutOfRangeError),
+    (two_squares, (21,), OutOfRangeError),
+    (quartic_symbol, (GaussianInt(1, 1), 9), NotCoprimeError),
+    (quartic_character, (GaussianInt(2, 1), 25), NotCoprimeError),
+])
+def test_composite_moduli_raise(fn, args, error):
+    # on a composite modulus the prime-only steps would loop forever
+    assert issubclass(error, CongruenceError)
+    with pytest.raises(error, match="prime"):
+        fn(*args)
 
 
 def test_sqrt_mod_both_prime_classes():

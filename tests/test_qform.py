@@ -1,5 +1,7 @@
 """Binary quadratic forms: reduction, class groups, representations."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -18,6 +20,7 @@ from congrkit.qform import (
     represent,
     two_squares,
 )
+from congrkit.registry import statements_binom3 as b3
 
 
 def test_form_basics():
@@ -54,15 +57,17 @@ def test_reduce_is_reduced_and_same_disc(a, b, c):
 @given(st.integers(1, 20), st.integers(-20, 20), st.integers(1, 30),
        st.integers(-8, 8), st.integers(-8, 8))
 def test_reduce_preserves_represented_values(a, b, c, x, y):
-    # a reduced form represents the same numbers; spot-check via small search
+    # a reduced form represents the same numbers.  Its |D| >= 3ac bounds any
+    # solution of g(u, v) = n by |u|, |v| <= sqrt(4n/3), so the search is complete.
     f = QuadForm(a, b, c)
     assume(f.disc < 0 and (x, y) != (0, 0))
     n = f.value(x, y)
     g = reduce(f)
+    r = isqrt(4 * n // 3) + 1
     found = any(
         g.value(u, v) == n
-        for u in range(-40, 41)
-        for v in range(-40, 41)
+        for u in range(-r, r + 1)
+        for v in range(-r, r + 1)
     )
     assert found
 
@@ -94,16 +99,41 @@ def test_class_group_rejects_bad_disc():
 
 
 def test_represent_spot():
-    reps = represent(QuadForm(1, 0, 15), 31)
-    assert [(r.x, r.y) for r in reps] == [(-4, -1), (-4, 1), (4, -1), (4, 1)]
+    assert represent(QuadForm(1, 0, 15), 31) == [(-4, -1), (-4, 1), (4, -1), (4, 1)]
     assert represent(QuadForm(1, 0, 15), 7) == []
+
+
+def _registry_forms():
+    """Every form the registry represents primes by."""
+    rows = (b3._ROWS_3_6, b3._ROWS_3_7, b3._ROWS_3_8, b3._ROWS_3_9)
+    forms = {QuadForm(*f) for table in rows for f, _coefs in table}
+    forms |= {QuadForm(*t) for _name, inst in b3._L33_INSTANCES for t in inst["targets"]}
+    # the mod-15 sub-row forms and thm-2.8's forms
+    return forms | {QuadForm(1, 0, 15), QuadForm(5, 0, 3),
+                    QuadForm(1, 0, 10), QuadForm(5, 0, 2)}
+
+
+def test_represent_matches_brute_force():
+    primes = sieve_primes(1000)
+    r = isqrt(primes[-1])
+    forms = _registry_forms()
+    assert len(forms) == 33
+    for f in forms:
+        found = {}
+        for x in range(-r, r + 1):
+            for y in range(-r, r + 1):
+                found.setdefault(f.value(x, y), []).append((x, y))
+        for p in primes:
+            brute = [(x, y) for x, y in found.get(p, ())
+                     if max(abs(x), abs(y)) <= isqrt(p)]
+            assert represent(f, p) == sorted(brute), (f, p)
 
 
 @given(st.sampled_from(sieve_primes(600)[2:]))
 def test_represent_finds_x2_plus_y2(p):
     reps = represent(QuadForm(1, 0, 1), p)
     if p % 4 == 1:
-        assert reps and all(r.x ** 2 + r.y ** 2 == p for r in reps)
+        assert reps and all(x ** 2 + y ** 2 == p for x, y in reps)
     else:
         assert reps == []
 
@@ -128,7 +158,7 @@ def test_classify_by_class_buckets():
                QuadForm(13, 1, 4), QuadForm(29, 5, 2)]
     m = classify_by_class(31, -207, targets)
     assert m.index == 2  # 31 = 13*1 + 1*2 + 4*4 lands in the [13,1,4] class
-    assert [(r.x, r.y) for r in m.representations] == [(-1, -2), (1, 2)]
+    assert m.representations == ((-1, -2), (1, 2))
 
 
 def test_classify_none_represents():
@@ -140,5 +170,4 @@ def test_classify_duplicate_class_targets_collapse():
     # [1,1,52] and [1,-1,52] are the same class; they share one bucket
     m = classify_by_class(211, -207, [QuadForm(1, 1, 52), QuadForm(1, -1, 52)])
     assert m.index == 0
-    assert all(r.x ** 2 + r.x * r.y + 52 * r.y ** 2 == 211
-               for r in m.representations)
+    assert all(x ** 2 + x * y + 52 * y ** 2 == 211 for x, y in m.representations)

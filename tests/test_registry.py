@@ -154,6 +154,15 @@ def test_reports_json_round_trip():
     assert text == reports_json(verify_many(["thm-2.6", "thm-4.4"], 100))
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_repeated_ids_are_reported_once(monkeypatch, jobs):
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    once = verify_many(["thm-3.8", "thm-2.6"], 100, jobs=jobs)
+    again = verify_many(["thm-3.8", "thm-2.6", "thm-3.8", "thm-2.6"], 100, jobs=jobs)
+    assert reports_json(again) == reports_json(once)
+    assert [(r.id, r.checked, r.not_applicable) for r in once][0] == ("thm-3.8", 6, 18)
+
+
 def test_jobs_do_not_change_output():
     a = reports_json(verify_many(["thm-2.1", "thm-3.3"], 400, jobs=1, seed=7))
     b = reports_json(verify_many(["thm-2.1", "thm-3.3"], 400, jobs=3, seed=7))

@@ -1,5 +1,7 @@
 """Spot verdicts pinning individual statement rows and witnesses."""
 
+from congrkit.modarith import sieve_primes
+from congrkit.qform import QuadForm, represent
 from congrkit.registry import check_statement, verify_range
 
 
@@ -19,6 +21,19 @@ def test_form_condition_row_carries_witness():
     assert v.row == "p = x^2+10y^2, p ≡ 1,9 (mod 40)"
     x, y = v.witnesses["rep"]
     assert x * x + 10 * y * y == 41
+
+
+def test_thm_2_8_sub_row_fires_on_every_representation():
+    # p ≡ 1,9 (mod 40) = x^2+10y^2 and p ≡ 13,37 = 5x^2+2y^2 force y even in
+    # every representation, so the one "y even" sub-row sees all of them;
+    # p ≡ 11,19 = x^2+10y^2 always has a representation with 4 | x-y
+    for p in sieve_primes(10**4):
+        if p % 40 in (1, 9, 13, 37):
+            form = QuadForm(1, 0, 10) if p % 40 in (1, 9) else QuadForm(5, 0, 2)
+            reps = represent(form, p)
+            assert reps and all(y % 2 == 0 for _x, y in reps), p
+        elif p % 40 in (11, 19):
+            assert any((x - y) % 4 == 0 for x, y in represent(QuadForm(1, 0, 10), p)), p
 
 
 def test_corrected_mod24_row():
