@@ -22,8 +22,9 @@ from .errors import (
     CongruenceError,
     ModulusDivisibleBy3Error,
     NotCoprimeError,
+    OutOfRangeError,
 )
-from .modarith import inv_mod, is_prime, sqrt_mod
+from .modarith import TRIAL_DIVISION_LIMIT, inv_mod, is_prime, sqrt_mod
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,8 @@ def _quad_pow(x0: int, x1: int, e: int, p: int, c0: int, c1: int) -> tuple[int, 
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
+    if n > TRIAL_DIVISION_LIMIT:
+        raise OutOfRangeError(f"{n} is above the trial-division limit {TRIAL_DIVISION_LIMIT}")
     out = []
     d = 2
     while d * d <= n:
@@ -164,6 +167,8 @@ def cubic_character(alpha: EisensteinInt, q: int) -> UnityRoot3:
     """
     if q % 3 == 0:
         raise ModulusDivisibleBy3Error(f"prime {q} must be coprime to 3")
+    if not is_prime(q):
+        raise OutOfRangeError(f"modulus {q} must be a prime")
     if gcd(alpha.norm, q) != 1:
         raise NotCoprimeError(f"norm of {alpha} shares a factor with {q}")
     if q % 3 == 2:

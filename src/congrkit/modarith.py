@@ -18,6 +18,10 @@ from .errors import (
 
 Rational = Fraction
 
+# is_prime and the cubic symbol's factorization refuse n above this bound:
+# trial division costs about sqrt(n) steps, some 0.1 s at the bound itself.
+TRIAL_DIVISION_LIMIT = 10**12
+
 
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, ascending (odd-only bytearray sieve)."""
@@ -36,7 +40,9 @@ def sieve_primes(limit: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; fine at the scales used here."""
+    """Deterministic trial division, for n up to TRIAL_DIVISION_LIMIT."""
+    if n > TRIAL_DIVISION_LIMIT:
+        raise OutOfRangeError(f"{n} is above the trial-division limit {TRIAL_DIVISION_LIMIT}")
     if n < 2:
         return False
     if n < 4:

@@ -143,6 +143,12 @@ def two_squares(p: int) -> tuple[int, int]:
     return c, d
 
 
+def class_key(f: QuadForm) -> QuadForm:
+    """One reduced form standing for f's class together with its inverse,
+    which represent the same numbers."""
+    return min(reduce(f), reduce(f.opposite()), key=lambda g: (g.a, g.b, g.c))
+
+
 @dataclass(frozen=True)
 class ClassMatch:
     index: int
@@ -160,8 +166,7 @@ def classify_by_class(p: int, D: int, targets: list[QuadForm]) -> ClassMatch:
     for i, f in enumerate(targets):
         if f.disc != D:
             raise InvalidDiscriminantError(f"{f} has discriminant {f.disc}, not {D}")
-        key = min(reduce(f), reduce(f.opposite()), key=lambda g: (g.a, g.b, g.c))
-        buckets.setdefault(key, []).append(i)
+        buckets.setdefault(class_key(f), []).append(i)
     hits = []
     for key, idxs in buckets.items():
         reps = represent(targets[idxs[0]], p)

@@ -28,7 +28,7 @@ from ..errors import (
 )
 from ..lucas import uv_mod
 from ..modarith import inv_mod, is_prime, jacobi, sieve_primes, sqrt_mod
-from ..qform import ClassMatch, QuadForm, classify_by_class, represent, two_squares
+from ..qform import ClassMatch, QuadForm, class_group, class_key, classify_by_class, two_squares
 
 SAMPLES_PER_PRIME = 20
 SAMPLER_RETRIES = 64
@@ -41,13 +41,12 @@ NOT_APPLICABLE = "NotApplicable"
 class Ctx:
     """Caches shared by every statement checked at one prime."""
 
-    __slots__ = ("p", "tables", "_uv", "_reps", "_classify", "_two_sq")
+    __slots__ = ("p", "tables", "_uv", "_classify", "_two_sq")
 
     def __init__(self, p: int):
         self.p = p
         self.tables = mod_tables(p)
         self._uv: dict[tuple[int, int, int], tuple[int, int]] = {}
-        self._reps: dict[QuadForm, tuple[tuple[int, int], ...]] = {}
         self._classify: dict[tuple, ClassMatch] = {}
         self._two_sq: tuple[int, int] | None = None
 
@@ -86,12 +85,6 @@ class Ctx:
         if self._two_sq is None:
             self._two_sq = two_squares(self.p)
         return self._two_sq
-
-    def reps(self, form: QuadForm) -> tuple[tuple[int, int], ...]:
-        got = self._reps.get(form)
-        if got is None:
-            got = self._reps[form] = tuple(represent(form, self.p))
-        return got
 
     def classify(self, D: int, targets: tuple[QuadForm, ...]) -> ClassMatch:
         key = (D, targets)
@@ -214,49 +207,76 @@ class CaseTable:
                 f"mod {self.modulus}: p={ctx.p} divides the modulus")
         return row[0], row[2](ctx)
 
+    def compare(self, ctx: Ctx, lhs: int) -> Outcome:
+        """lhs against the value of the row for ctx.p."""
+        label, rhs = self.at(ctx)
+        return Outcome(lhs == rhs, lhs, label, rhs)
 
-def row_check(lhs: Callable[[Ctx], int], table: CaseTable) -> Callable:
-    """The check comparing lhs(ctx) with the value of table's row at ctx.p."""
+
+class FormTable:
+    """Right-hand rows chosen by the form class representing p, checked to
+    be total when built.
+
+    A row is (form, sub_rows), a sub-row (label, fires(x, y), value(ctx, x, y))
+    on the representations p = form(x, y).  The forms must name each class of
+    class_group(disc) once, up to inversion, or this raises
+    RowDispatchViolationError at import; then each prime p with (disc|p) = 1
+    is represented by exactly one row (Cox, Primes of the Form x^2 + ny^2, §2-3).
+    """
+
+    __slots__ = ("disc", "forms", "_sub_rows")
+
+    def __init__(self, disc: int, rows: tuple[tuple, ...]):
+        self.disc = disc
+        self.forms = tuple(QuadForm(*form) for form, _sub_rows in rows)
+        self._sub_rows = tuple(sub_rows for _form, sub_rows in rows)
+        classes = {class_key(g) for g in class_group(disc)}
+        seen = set()
+        for f in self.forms:
+            key = class_key(f) if f.disc == disc else None
+            if key in seen or key not in classes:
+                raise RowDispatchViolationError(f"disc {disc}: row {f} is no new class")
+            seen.add(key)
+        if seen != classes:
+            missing = ", ".join(sorted(map(str, classes - seen)))
+            raise RowDispatchViolationError(f"disc {disc}: no row for the classes {missing}")
+
+    def compare(self, ctx: Ctx, lhs: int | list[int], prefix: str = "") -> Outcome:
+        """lhs, or each entry of a list lhs, against the one sub-row that fires
+        on p's representations by its row, which must all give the same value."""
+        p = ctx.p
+        match = ctx.classify(self.disc, self.forms)
+        form = self.forms[match.index]
+        hit = None
+        vals = set()
+        hits = []
+        for x, y in match.representations:
+            for label, fires, value in self._sub_rows[match.index]:
+                if fires(x, y):
+                    if hit not in (None, label):
+                        raise RowDispatchViolationError(
+                            f"at p={p}: representations of {form} match distinct sub-rows")
+                    hit = label
+                    vals.add(value(ctx, x, y) % p)
+                    hits.append((x, y))
+        if hit is None:
+            raise RowDispatchViolationError(
+                f"at p={p}: no representation of {form} matches a sub-row")
+        label = prefix + hit
+        if len(vals) != 1:
+            return Outcome(False, lhs, label, sorted(vals), {"reps": hits})
+        rhs = vals.pop()
+        ok = all(v == rhs for v in (lhs if isinstance(lhs, list) else [lhs]))
+        return Outcome(ok, lhs, label, rhs, {"rep": list(hits[0])})
+
+
+def row_check(lhs: Callable[[Ctx], Any], table: CaseTable | FormTable) -> Callable:
+    """The check comparing lhs(ctx) with the value table gives at ctx.p."""
 
     def check(ctx: Ctx, params) -> Outcome:
-        s = lhs(ctx)
-        label, rhs = table.at(ctx)
-        return Outcome(s == rhs, s, label, rhs)
+        return table.compare(ctx, lhs(ctx))
 
     return check
-
-
-def _rep_sub_rows(ctx: Ctx, lhs_values, form, rows, label_prefix=""):
-    """Sub-dispatch on a congruence property of the representation; across
-    all sign variants exactly one sub-row may fire, and every variant that
-    fires it must give the same value."""
-    p = ctx.p
-    reps = ctx.reps(form)
-    if not reps:
-        raise RowDispatchViolationError(
-            f"at p={p}: {form} has no representation")
-    hit = None
-    vals = set()
-    hits = []
-    for x, y in reps:
-        for label, pred, val in rows:
-            if pred(x, y):
-                if hit not in (None, label):
-                    raise RowDispatchViolationError(
-                        f"at p={p}: representations of {form} match distinct sub-rows")
-                hit = label
-                vals.add(val(x, y) % p)
-                hits.append((x, y))
-    if hit is None:
-        raise RowDispatchViolationError(
-            f"at p={p}: no representation of {form} matches a sub-row")
-    label = label_prefix + hit
-    if len(vals) != 1:
-        return Outcome(False, lhs_values, label, sorted(vals), {"reps": hits})
-    rhs = vals.pop()
-    lhs_list = lhs_values if isinstance(lhs_values, list) else [lhs_values]
-    ok = all(v == rhs for v in lhs_list)
-    return Outcome(ok, lhs_values, label, rhs, {"rep": list(hits[0])})
 
 
 def rejection_sampler(draw: Callable, hypothesis: Callable) -> Callable:

@@ -11,13 +11,12 @@ from __future__ import annotations
 from ..binomsum import binom_shift_lemma_check
 from ..cyclotomic import EisensteinInt, cubic_symbol
 from ..modarith import jacobi
-from ..qform import QuadForm
 from .engine import (
     CaseTable,
     Ctx,
+    FormTable,
     Outcome,
     Statement,
-    _rep_sub_rows,
     cubic_roots,
     register,
     rejection_sampler,
@@ -38,28 +37,22 @@ def _ab_units(t, p):
 
 # ------------------------------------------------------- form-class rows
 
-def _form_table(ctx: Ctx, lhs, disc, rows, label_prefix=""):
-    """Dispatch on the form class representing p; rows are (form, coefs)
-    with coefs None for the constant-1 rows and (cx, cy, cden) meaning
-    (cx x + cy y) / (cden y) at a representation (x, y)."""
-    p = ctx.p
-    match = ctx.classify(disc, tuple(QuadForm(*f) for f, _ in rows))
-    form, coefs = rows[match.index]
-    label = label_prefix + f"p represented by [{form[0]},{form[1]},{form[2]}]"
-    reps = list(match.representations)
-    if coefs is None:
-        return Outcome(lhs == 1, lhs, label, 1, {"rep": list(reps[0])})
-    cx, cy, cden = coefs
-    good = [(x, y) for x, y in reps if y % p]
-    if not good:
-        return Outcome(False, lhs, label, None,
-                       {"reps": reps, "note": "no representation with invertible y"})
-    vals = {ctx.fr(cx * x + cy * y, cden * y) for x, y in good}
-    if len(vals) != 1:
-        return Outcome(False, lhs, label, sorted(vals),
-                       {"reps": reps, "note": "value depends on representation"})
-    rhs = vals.pop()
-    return Outcome(lhs == rhs, lhs, label, rhs, {"rep": list(good[0])})
+def _one(ctx: Ctx, x: int, y: int) -> int:
+    return 1
+
+
+def _ratio(cx: int, cy: int, cden: int):
+    """The sub-row value (cx x + cy y) / (cden y)."""
+    return lambda ctx, x, y: ctx.fr(cx * x + cy * y, cden * y)
+
+
+def _class_row(form: tuple[int, int, int], ratio: tuple[int, int, int] | None = None):
+    """Row "p represented by form": the value 1, or the ratio at each
+    representation with y != 0 (prime to p, as |y| < p for these forms)."""
+    label = "p represented by [{},{},{}]".format(*form)
+    if ratio is None:
+        return form, ((label, lambda x, y: True, _one),)
+    return form, ((label, lambda x, y: y != 0, _ratio(*ratio)),)
 
 
 # ----------------------------------------------------------- statements
@@ -93,12 +86,12 @@ register(Statement(
 ))
 
 
-_ROWS_3_8 = (
-    ((1, 1, 52), None),
-    ((8, 7, 8), None),
-    ((13, 1, 4), (39, -10, 23)),
-    ((29, 5, 2), (-87, -19, 23)),
-)
+_ROWS_3_8 = FormTable(-207, (
+    _class_row((1, 1, 52)),
+    _class_row((8, 7, 8)),
+    _class_row((13, 1, 4), (39, -10, 23)),
+    _class_row((29, 5, 2), (-87, -19, 23)),
+))
 
 
 def _check_intro_1_3(ctx: Ctx, params) -> Outcome:
@@ -112,7 +105,7 @@ def _check_intro_1_3(ctx: Ctx, params) -> Outcome:
         roots = cubic_roots(23, 3, 1, p)
         return Outcome(roots == {s}, s, "(p|23) = -1: S is the unique root",
                        sorted(roots))
-    return _form_table(ctx, s, -207, _ROWS_3_8, "(p|23) = 1: ")
+    return _ROWS_3_8.compare(ctx, s, "(p|23) = 1: ")
 
 
 register(Statement(
@@ -259,66 +252,51 @@ register(Statement(
 ))
 
 
-def _mod15_form_rows(ctx: Ctx, lhs_values, ratio_1_15, ratio_5_3):
-    """p = x^2+15y^2 when p ≡ 1,4 (mod 15), else p = 5x^2+3y^2; the value is
-    1 when 3 | y, and (cx x + cy y) / (cden y) with the form's ratio
-    (cx, cy, cden) when 3 | y-x."""
-    if ctx.p % 15 in (1, 4):
-        form, prefix, ratio = QuadForm(1, 0, 15), "p = x^2+15y^2, ", ratio_1_15
-    else:
-        form, prefix, ratio = QuadForm(5, 0, 3), "p = 5x^2+3y^2, ", ratio_5_3
-    cx, cy, cden = ratio
-    rows = [
-        ("3 | y", lambda x, y: y % 3 == 0, lambda x, y: 1),
-        ("3 | y-x", lambda x, y: (y - x) % 3 == 0,
-         lambda x, y: ctx.fr(cx * x + cy * y, cden * y)),
-    ]
-    return _rep_sub_rows(ctx, lhs_values, form, rows, prefix)
+def _mod15_table(ratio_1_15, ratio_5_3) -> FormTable:
+    """p = x^2+15y^2 or 5x^2+3y^2, the two classes of H(-60): the value is 1
+    when 3 | y, and the form's ratio (cx, cy, cden) when 3 | y-x."""
+    return FormTable(-60, tuple(
+        (form, ((f"p = {name}, 3 | y", lambda x, y: y % 3 == 0, _one),
+                (f"p = {name}, 3 | y-x", lambda x, y: (y - x) % 3 == 0, _ratio(*ratio))))
+        for form, name, ratio in (((1, 0, 15), "x^2+15y^2", ratio_1_15),
+                                  ((5, 0, 3), "5x^2+3y^2", ratio_5_3))))
 
 
-def _check_thm_3_4(ctx: Ctx, params) -> Outcome:
-    p = ctx.p
+_TABLE_3_4 = _mod15_table((1, -5, 10), (-1, -1, 2))
+_TABLE_3_5 = _mod15_table((-3, -5, 10), (3, -1, 2))
+
+
+def _sums_3_4(ctx: Ctx) -> list[int]:
     eps = _TABLE_3_2.at(ctx)[1]
-    s6 = (2 * ctx.sum_binom(6, 2, 1, 729) - eps) % p
-    s3 = ctx.sum_binom(3, 1, -1, 27)
-    return _mod15_form_rows(ctx, [s6, s3], (1, -5, 10), (-1, -1, 2))
+    s6 = (2 * ctx.sum_binom(6, 2, 1, 729) - eps) % ctx.p
+    return [s6, ctx.sum_binom(3, 1, -1, 27)]
 
 
 register(Statement(
     id="thm-3.4",
     status="verified",
     applies=lambda p: p > 5 and p % 15 in (1, 2, 4, 8),
-    check=_check_thm_3_4,
+    check=row_check(_sums_3_4, _TABLE_3_4),
 ))
-
-
-def _check_thm_3_5(ctx: Ctx, params) -> Outcome:
-    s = ctx.sum_binom(3, 1, 1, 3)
-    return _mod15_form_rows(ctx, s, (-3, -5, 10), (3, -1, 2))
 
 
 register(Statement(
     id="thm-3.5",
     status="verified",
     applies=lambda p: p > 5 and p % 15 in (1, 2, 4, 8),
-    check=_check_thm_3_5,
+    check=row_check(lambda ctx: ctx.sum_binom(3, 1, 1, 3), _TABLE_3_5),
 ))
 
 
-_ROWS_3_6 = (
-    ((1, 1, 88), None),
-    ((10, 7, 10), None),
-    ((11, 1, 8), None),
-    ((25, 7, 4), (-25, -10, 13)),
-    ((43, 37, 10), (43, 12, 13)),
-    ((5, 3, 18), (-5, -8, 13)),
-    ((47, 5, 2), (-47, -9, 13)),
-)
-
-
-def _check_thm_3_6(ctx: Ctx, params) -> Outcome:
-    s = ctx.sum_binom(3, 1, -1, 3)
-    return _form_table(ctx, s, -351, _ROWS_3_6)
+_ROWS_3_6 = FormTable(-351, (
+    _class_row((1, 1, 88)),
+    _class_row((10, 7, 10)),
+    _class_row((11, 1, 8)),
+    _class_row((25, 7, 4), (-25, -10, 13)),
+    _class_row((43, 37, 10), (43, 12, 13)),
+    _class_row((5, 3, 18), (-5, -8, 13)),
+    _class_row((47, 5, 2), (-47, -9, 13)),
+))
 
 
 register(Statement(
@@ -326,72 +304,57 @@ register(Statement(
     status="verified",
     applies=lambda p: p > 3 and jacobi(p, 13) == jacobi(p, 3) != 0
     and p not in (5, 43, 47),
-    check=_check_thm_3_6,
+    check=row_check(lambda ctx: ctx.sum_binom(3, 1, -1, 3), _ROWS_3_6),
 ))
 
 
-_ROWS_3_7 = (
-    ((1, 1, 64), None),
-    ((3, 3, 22), None),
-    ((8, 1, 8), None),
-    ((5, 5, 14), None),
-    ((19, 7, 4), (-171, -74, 85)),
-    ((7, 5, 10), (-63, -65, 85)),
-    ((35, 5, 2), (-63, -13, 17)),
-    ((11, 3, 6), (99, -29, 85)),
-)
-
-
-def _check_thm_3_7(ctx: Ctx, params) -> Outcome:
-    s = ctx.sum_binom(3, 1, -3)
-    return _form_table(ctx, s, -255, _ROWS_3_7)
+_ROWS_3_7 = FormTable(-255, (
+    _class_row((1, 1, 64)),
+    _class_row((3, 3, 22)),
+    _class_row((8, 1, 8)),
+    _class_row((5, 5, 14)),
+    _class_row((19, 7, 4), (-171, -74, 85)),
+    _class_row((7, 5, 10), (-63, -65, 85)),
+    _class_row((35, 5, 2), (-63, -13, 17)),
+    _class_row((11, 3, 6), (99, -29, 85)),
+))
 
 
 register(Statement(
     id="thm-3.7",
     status="verified",
     applies=lambda p: jacobi(p, 255) == 1 and p not in (7, 11, 19),
-    check=_check_thm_3_7,
+    check=row_check(lambda ctx: ctx.sum_binom(3, 1, -3), _ROWS_3_7),
     notes="the 11x^2+3xy+6y^2 row divides by 85y: the variant with 17y fails"
           " at p = 29 (15 vs 3) while 85y matches the Lucas-side derivation"
           " at every bucket prime checked to 4000",
 ))
 
 
-def _check_thm_3_8(ctx: Ctx, params) -> Outcome:
-    s = ctx.sum_binom(3, 1, 1)
-    return _form_table(ctx, s, -207, _ROWS_3_8)
-
-
 register(Statement(
     id="thm-3.8",
     status="verified",
     applies=lambda p: p > 3 and jacobi(p, 23) == 1 and p not in (13, 29),
-    check=_check_thm_3_8,
+    check=row_check(lambda ctx: ctx.sum_binom(3, 1, 1), _ROWS_3_8),
 ))
 
 
-_ROWS_3_9 = (
-    ((1, 1, 70), None),
-    ((9, 9, 10), None),
-    ((8, 3, 9), None),
-    ((5, 1, 14), (15, -14, 31)),
-    ((7, 1, 10), (21, -14, 31)),
-    ((19, 5, 4), (57, -8, 31)),
-    ((35, 1, 2), (-105, -17, 31)),
-)
-
-
-def _check_thm_3_9(ctx: Ctx, params) -> Outcome:
-    s = ctx.sum_binom(3, 1, -1)
-    return _form_table(ctx, s, -279, _ROWS_3_9)
+_ROWS_3_9 = FormTable(-279, (
+    _class_row((1, 1, 70)),
+    _class_row((9, 9, 10)),
+    _class_row((8, 3, 9)),
+    _class_row((5, 1, 14), (15, -14, 31)),
+    _class_row((7, 1, 10), (21, -14, 31)),
+    _class_row((19, 5, 4), (57, -8, 31)),
+    _class_row((35, 1, 2), (-105, -17, 31)),
+))
 
 
 register(Statement(
     id="thm-3.9",
     status="verified",
     applies=lambda p: p > 3 and jacobi(p, 31) == 1 and p not in (5, 7, 19),
-    check=_check_thm_3_9,
+    check=row_check(lambda ctx: ctx.sum_binom(3, 1, -1), _ROWS_3_9),
 ))
 
 
@@ -422,26 +385,28 @@ register(Statement(
 
 # -------------------------------- Lucas classification at two parameter pairs
 
+# FormTables for the import check and classification only; U and V are read
+# off the matched form, so no row has sub-rows.
 _L33_INSTANCES = (
-    ("(9,3)", dict(P=9, Q=3, d=69, disc=-207, bottom=23,
-                   targets=((1, 1, 52), (23, -23, 8), (13, 1, 4), (29, 5, 2)))),
-    ("(9,-3)", dict(P=9, Q=-3, d=93, disc=-279, bottom=31,
-                    targets=((1, 1, 70), (31, -31, 10), (35, 29, 8), (5, 1, 14),
-                             (7, 1, 10), (19, 5, 4), (35, 1, 2)))),
+    ("(9,3)", dict(P=9, Q=3, d=69, bottom=23, table=FormTable(-207, tuple(
+        (form, ()) for form in ((1, 1, 52), (23, -23, 8), (13, 1, 4), (29, 5, 2)))))),
+    ("(9,-3)", dict(P=9, Q=-3, d=93, bottom=31, table=FormTable(-279, tuple(
+        (form, ()) for form in ((1, 1, 70), (31, -31, 10), (35, 29, 8), (5, 1, 14),
+                                (7, 1, 10), (19, 5, 4), (35, 1, 2)))))),
 )
 
 
 def _l33_one(ctx: Ctx, name, inst):
     p = ctx.p
-    P, Q, d = inst["P"], inst["Q"], inst["d"]
-    match = ctx.classify(inst["disc"], tuple(QuadForm(*t) for t in inst["targets"]))
-    a0, b0, c0 = inst["targets"][match.index]
-    s = cubic_symbol(EisensteinInt(b0 - 9, -18), a0).exponent
+    P, Q, d, table = inst["P"], inst["Q"], inst["d"], inst["table"]
+    match = ctx.classify(table.disc, table.forms)
+    form = table.forms[match.index]
+    s = cubic_symbol(EisensteinInt(form.b - 9, -18), form.a).exponent
     t3 = jacobi(p, 3)
     n3 = (p - t3) // 3
     u, v = ctx.uv(P, Q, n3)
     base = jacobi(-Q, p) * ctx.pw(-Q, n3 // 2) % p
-    label = f"{name}: p represented by [{a0},{b0},{c0}], symbol w^{s}"
+    label = f"{name}: p represented by {form}, symbol w^{s}"
     if s == 0:
         if u != 0:
             return Outcome(False, u, label + ", U = 0", 0)
@@ -451,7 +416,7 @@ def _l33_one(ctx: Ctx, name, inst):
         good = [(x, y) for x, y in match.representations if y % p]
         if good:
             sign = -1 if s == 1 else 1
-            vals = {sign * ctx.fr(2 * a0 * x + b0 * y, d * y) * base % p
+            vals = {sign * ctx.fr(2 * form.a * x + form.b * y, d * y) * base % p
                     for x, y in good}
             if len(vals) != 1:
                 return Outcome(False, u, label, sorted(vals), {"reps": good})

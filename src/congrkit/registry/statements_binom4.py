@@ -20,13 +20,12 @@ from ..errors import (
     OutOfRangeError,
 )
 from ..modarith import is_prime, jacobi, sqrt_mod
-from ..qform import QuadForm
 from .engine import (
     CaseTable,
     Ctx,
+    FormTable,
     Outcome,
     Statement,
-    _rep_sub_rows,
     _sign_pow,
     register,
     rejection_sampler,
@@ -380,27 +379,26 @@ register(Statement(
 ))
 
 
-def _check_thm_2_8(ctx: Ctx, params) -> Outcome:
-    """One sub-row per residue class: "y even" for p ≡ 1,9,13,37 (mod 40)
-    (every representation has even y there), "4 | x-y" for p ≡ 11,19."""
-    p = ctx.p
-    s = ctx.sum_binom(4, 2, -1, 144)
-    sign3 = _sign_pow(p // 3)
-    if p % 40 in (11, 19):
-        return _rep_sub_rows(ctx, s, QuadForm(1, 0, 10), [(
-            "p = x^2+10y^2 with 4 | x-y, p ≡ 11,19 (mod 40)",
-            lambda x, y: (x - y) % 4 == 0, lambda x, y: sign3 * ctx.fr(y, x))])
-    form, label = ((QuadForm(1, 0, 10), "p = x^2+10y^2, p ≡ 1,9 (mod 40)") if p % 40 in (1, 9)
-                   else (QuadForm(5, 0, 2), "p = 5x^2+2y^2, p ≡ 13,37 (mod 40)"))
-    return _rep_sub_rows(ctx, s, form, [(
-        label, lambda x, y: y % 2 == 0, lambda x, y: sign3 * _sign_pow(abs(y) // 2))])
+def _by_half_y(ctx: Ctx, x: int, y: int) -> int:
+    return _sign_pow(ctx.p // 3 + abs(y) // 2)
+
+
+# x^2+10y^2 = p has y even when p ≡ 1,9 (mod 40), and x, y odd when p ≡ 11,19
+_TABLE_2_8 = FormTable(-40, (
+    ((1, 0, 10), (
+        ("p = x^2+10y^2, p ≡ 1,9 (mod 40)", lambda x, y: y % 2 == 0, _by_half_y),
+        ("p = x^2+10y^2 with 4 | x-y, p ≡ 11,19 (mod 40)", lambda x, y: (x - y) % 4 == 0,
+         lambda ctx, x, y: _sign_pow(ctx.p // 3) * ctx.fr(y, x)),
+    )),
+    ((5, 0, 2), (("p = 5x^2+2y^2, p ≡ 13,37 (mod 40)", lambda x, y: y % 2 == 0, _by_half_y),)),
+))
 
 
 register(Statement(
     id="thm-2.8",
     status="verified",
     applies=lambda p: p % 40 in (1, 9, 11, 13, 19, 37),
-    check=_check_thm_2_8,
+    check=row_check(lambda ctx: ctx.sum_binom(4, 2, -1, 144), _TABLE_2_8),
 ))
 
 

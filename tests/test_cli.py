@@ -158,9 +158,14 @@ _ABOVE_LIMIT = next(q for q in range(TABLE_PRIME_LIMIT + 1, TABLE_PRIME_LIMIT + 
                  id="verify-limit"),
     pytest.param(["compute", "sum", "--a", "4", "--b", "2", "--num", "1",
                   "--prime", str(_ABOVE_LIMIT)], id="sum-prime"),
+    # above modarith.TRIAL_DIVISION_LIMIT, where trial division would run for minutes or more
+    pytest.param(["represent", "--form", "1,0,1", "--prime", "1000000000000000009"],
+                 id="represent-prime-above-trial-division"),
+    pytest.param(["compute", "symbol", "--kind", "cubic", "--top", "2,1",
+                  "--bottom", "1000000016000000063"], id="cubic-bottom-above-trial-division"),
 ])
 def test_above_table_limit_errors(capsys, monkeypatch, argv):
-    # both commands refuse before they sieve or build tables
+    # each command refuses before it sieves, builds tables or divides
     monkeypatch.setattr("congrkit.registry.engine.sieve_primes", None)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")

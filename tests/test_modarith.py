@@ -5,7 +5,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from congrkit.cyclotomic import GaussianInt, quartic_character, quartic_symbol
+from congrkit.cyclotomic import (
+    EisensteinInt,
+    GaussianInt,
+    _factorize,
+    cubic_character,
+    quartic_character,
+    quartic_symbol,
+)
 from congrkit.errors import (
     CongruenceError,
     DenominatorDivisibleError,
@@ -15,6 +22,7 @@ from congrkit.errors import (
     ZeroInverseError,
 )
 from congrkit.modarith import (
+    TRIAL_DIVISION_LIMIT,
     frac_mod,
     inv_mod,
     is_prime,
@@ -111,12 +119,24 @@ def test_sqrt_mod_roundtrip(p, a):
     (two_squares, (21,), OutOfRangeError),
     (quartic_symbol, (GaussianInt(1, 1), 9), NotCoprimeError),
     (quartic_character, (GaussianInt(2, 1), 25), NotCoprimeError),
+    (cubic_character, (EisensteinInt(2, 0), 35), OutOfRangeError),
+    (cubic_character, (EisensteinInt(2, 0), 91), OutOfRangeError),
 ])
 def test_composite_moduli_raise(fn, args, error):
-    # on a composite modulus the prime-only steps would loop forever
+    # on a composite modulus the prime-only steps would loop forever or give
+    # a meaningless value
     assert issubclass(error, CongruenceError)
     with pytest.raises(error, match="prime"):
         fn(*args)
+
+
+def test_trial_division_refuses_above_its_limit():
+    assert TRIAL_DIVISION_LIMIT == 10**12
+    assert is_prime(999_999_999_989)  # the largest prime below the limit
+    assert _factorize(TRIAL_DIVISION_LIMIT) == [(2, 12), (5, 12)]
+    for fn in (is_prime, _factorize):
+        with pytest.raises(OutOfRangeError, match="trial-division limit"):
+            fn(TRIAL_DIVISION_LIMIT + 1)
 
 
 def test_sqrt_mod_both_prime_classes():

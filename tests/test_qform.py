@@ -20,7 +20,8 @@ from congrkit.qform import (
     represent,
     two_squares,
 )
-from congrkit.registry import statements_binom3 as b3
+from congrkit.registry import statements_binom3 as b3, statements_binom4 as b4
+from congrkit.registry.engine import FormTable
 
 
 def test_form_basics():
@@ -104,13 +105,11 @@ def test_represent_spot():
 
 
 def _registry_forms():
-    """Every form the registry represents primes by."""
-    rows = (b3._ROWS_3_6, b3._ROWS_3_7, b3._ROWS_3_8, b3._ROWS_3_9)
-    forms = {QuadForm(*f) for table in rows for f, _coefs in table}
-    forms |= {QuadForm(*t) for _name, inst in b3._L33_INSTANCES for t in inst["targets"]}
-    # the mod-15 sub-row forms and thm-2.8's forms
-    return forms | {QuadForm(1, 0, 15), QuadForm(5, 0, 3),
-                    QuadForm(1, 0, 10), QuadForm(5, 0, 2)}
+    """Every form the registry represents primes by: the rows of its FormTables."""
+    tables = [t for mod in (b3, b4) for t in vars(mod).values() if isinstance(t, FormTable)]
+    tables += [inst["table"] for _name, inst in b3._L33_INSTANCES]
+    assert len(tables) == 9
+    return {f for t in tables for f in t.forms}
 
 
 def test_represent_matches_brute_force():

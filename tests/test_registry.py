@@ -21,7 +21,8 @@ from congrkit.registry import (
     verify_range,
 )
 from congrkit.registry import Ctx, engine
-from congrkit.registry.engine import CaseTable
+from congrkit.registry.engine import CaseTable, FormTable
+from congrkit.qform import QuadForm
 from congrkit.errors import RowDispatchViolationError
 
 
@@ -232,6 +233,43 @@ def test_case_table_partitions_units():
     mod3 = CaseTable(3, (("1", (1,), lambda ctx: 1), ("2", (2,), lambda ctx: 0)))
     with pytest.raises(RowDispatchViolationError, match="divides the modulus"):
         mod3.at(Ctx(3))
+
+
+# one form per class of H(-207) up to inversion: [29,5,2] is the class of [2,-1,26]
+_ROWS_207 = (((1, 1, 52), ()), ((8, 7, 8), ()), ((13, 1, 4), ()), ((29, 5, 2), ()))
+
+
+@pytest.mark.parametrize("rows, match", [
+    pytest.param(_ROWS_207[:3], r"no row for the classes \[2,-1,26\]$", id="dropped-row"),
+    pytest.param(_ROWS_207 + (((4, -1, 13), ()),), r"row \[4,-1,13\] is no new class",
+                 id="two-forms-of-one-class"),
+    pytest.param(_ROWS_207[:3] + (((1, 0, 10), ()),), r"row \[1,0,10\] is no new class",
+                 id="other-disc"),
+    pytest.param(_ROWS_207 + (((3, 3, 18), ()),), r"row \[3,3,18\] is no new class",
+                 id="not-primitive"),
+])
+def test_form_table_names_each_class_once(rows, match):
+    assert FormTable(-207, _ROWS_207).forms[3] == QuadForm(29, 5, 2)
+    with pytest.raises(RowDispatchViolationError, match=match):
+        FormTable(-207, rows)
+
+
+def test_form_table_sub_rows_at_one_prime():
+    # 31 = x^2+15y^2 only at (±4, ±1)
+    def table(*sub_rows):
+        return FormTable(-60, (((1, 0, 15), sub_rows), ((5, 0, 3), ())))
+
+    always = ("any", lambda x, y: True, lambda ctx, x, y: 1)
+    out = table(always).compare(Ctx(31), [1, 1], "pre: ")
+    assert (out.ok, out.row, out.rhs, out.witnesses) == (True, "pre: any", 1, {"rep": [-4, -1]})
+    x_sign = ("x", lambda x, y: True, lambda ctx, x, y: x)
+    out = table(x_sign).compare(Ctx(31), 4)
+    assert (out.ok, out.rhs) == (False, [4, 27])
+    assert out.witnesses == {"reps": [(-4, -1), (-4, 1), (4, -1), (4, 1)]}
+    with pytest.raises(RowDispatchViolationError, match="distinct sub-rows"):
+        table(always, ("also", lambda x, y: y > 0, lambda ctx, x, y: 1)).compare(Ctx(31), 1)
+    with pytest.raises(RowDispatchViolationError, match="matches a sub-row"):
+        table(("never", lambda x, y: False, lambda ctx, x, y: 1)).compare(Ctx(31), 1)
 
 
 def test_cubic_roots_examples():

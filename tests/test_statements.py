@@ -1,8 +1,13 @@
 """Spot verdicts pinning individual statement rows and witnesses."""
 
+import pytest
+
 from congrkit.modarith import sieve_primes
-from congrkit.qform import QuadForm, represent
+from congrkit.qform import QuadForm, classify_by_class, represent
 from congrkit.registry import check_statement, verify_range
+from congrkit.registry.engine import REGISTRY
+from congrkit.registry.statements_binom3 import _TABLE_3_4, _TABLE_3_5
+from congrkit.registry.statements_binom4 import _TABLE_2_8
 
 
 def test_quartic_sum_rows():
@@ -34,6 +39,22 @@ def test_thm_2_8_sub_row_fires_on_every_representation():
             assert reps and all(y % 2 == 0 for _x, y in reps), p
         elif p % 40 in (11, 19):
             assert any((x - y) % 4 == 0 for x, y in represent(QuadForm(1, 0, 10), p)), p
+
+
+@pytest.mark.parametrize("sid, table, modulus, classes, form, other", [
+    pytest.param("thm-2.8", _TABLE_2_8, 40, (1, 9, 11, 19), QuadForm(1, 0, 10),
+                 QuadForm(5, 0, 2), id="thm-2.8"),
+    pytest.param("thm-3.4", _TABLE_3_4, 15, (1, 4), QuadForm(1, 0, 15),
+                 QuadForm(5, 0, 3), id="thm-3.4"),
+    pytest.param("thm-3.5", _TABLE_3_5, 15, (1, 4), QuadForm(1, 0, 15),
+                 QuadForm(5, 0, 3), id="thm-3.5"),
+])
+def test_form_table_row_matches_the_residue_ladder(sid, table, modulus, classes, form, other):
+    # the p mod 40 and p mod 15 choices the two-class tables replace
+    for p in sieve_primes(10**4):
+        if REGISTRY[sid].applies(p):
+            got = table.forms[classify_by_class(p, table.disc, list(table.forms)).index]
+            assert got == (form if p % modulus in classes else other), p
 
 
 def test_corrected_mod24_row():
