@@ -56,7 +56,6 @@ from .registry import (
     registered_ids,
     reports_json,
     verify_many,
-    verify_range,
 )
 
 __version__ = "0.1.0"
@@ -106,5 +105,4 @@ __all__ = [
     "two_squares",
     "uv_mod",
     "verify_many",
-    "verify_range",
 ]

@@ -45,10 +45,6 @@ class NoneRepresentsError(CongruenceError):
     """No target form class represents the prime."""
 
 
-class MultipleClassesRepresentError(CongruenceError):
-    """More than one target form class represents the prime."""
-
-
 class NotCoprimeError(CongruenceError):
     """Symbol arguments that share a factor with the modulus."""
 

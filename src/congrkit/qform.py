@@ -4,23 +4,27 @@
 canonical representative, enumeration of the primitive reduced forms of a
 discriminant, exhaustive representation search for a target value, the
 two-squares decomposition of p = 1 (mod 4), and classification of a prime
-into exactly one class of a supplied list of forms.
+by reduction: with b^2 = D (mod 4p), [p, b, (b^2 - D)/4p] represents p, so
+its reduced class is the one class of discriminant D, up to inversion, that
+represents p (Cox, Primes of the Form x^2 + ny^2, Lemma 2.5 and Thm 2.8).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import (
     InvalidDiscriminantError,
-    MultipleClassesRepresentError,
     NoneRepresentsError,
     NonNegativeDiscriminantError,
     NotOneModFourError,
     OutOfRangeError,
 )
 from .modarith import is_prime, sqrt_mod
+
+CLASS_GROUP_DISC_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -74,9 +78,12 @@ def reduce(f: QuadForm) -> QuadForm:
 
 
 def class_group(D: int) -> list[QuadForm]:
-    """All primitive reduced forms of discriminant D < 0, sorted by (a, b)."""
+    """All primitive reduced forms of discriminant D < 0, sorted by (a, b);
+    the enumeration takes O(|D|) steps, so |D| is bounded."""
     if D >= 0 or D % 4 not in (0, 1):
         raise InvalidDiscriminantError(f"{D} is not a negative discriminant")
+    if -D > CLASS_GROUP_DISC_LIMIT:
+        raise OutOfRangeError(f"|D| = {-D} is above the class group limit {CLASS_GROUP_DISC_LIMIT}")
     out = []
     a = 1
     while 3 * a * a <= -D:
@@ -145,8 +152,12 @@ def two_squares(p: int) -> tuple[int, int]:
 
 def class_key(f: QuadForm) -> QuadForm:
     """One reduced form standing for f's class together with its inverse,
-    which represent the same numbers."""
-    return min(reduce(f), reduce(f.opposite()), key=lambda g: (g.a, g.b, g.c))
+    which represent the same numbers: the reduced form g of f, with b made
+    negative unless g is its own inverse (b = 0, b = a or a = c)."""
+    g = reduce(f)
+    if g.b in (0, g.a) or g.a == g.c:
+        return g
+    return QuadForm(g.a, -abs(g.b), g.c)
 
 
 @dataclass(frozen=True)
@@ -155,28 +166,27 @@ class ClassMatch:
     representations: tuple[tuple[int, int], ...]
 
 
-def classify_by_class(p: int, D: int, targets: list[QuadForm]) -> ClassMatch:
-    """Index of the unique class among targets representing p, with witnesses.
+def classify_by_class(p: int, D: int, targets: Sequence[QuadForm]) -> ClassMatch:
+    """Index of the first target in the class representing the odd prime p,
+    with the representations of p by that target.
 
-    Targets are grouped with their opposites [a,-b,c] (same represented set)
-    and with any other listed form of the same reduced class.  Exactly one
-    group must represent p; anything else signals a misencoded case table.
+    For b = D (mod 2) with b^2 = D (mod 4p), the form [p, b, (b^2 - D)/4p]
+    has discriminant D and represents p, so its class, up to inversion, is
+    the only one that does (Cox, Primes of the Form x^2 + ny^2, Lemma 2.5
+    and Thm 2.8).  Raises NoneRepresentsError when D is not a square mod p
+    or no target is in that class.
     """
-    buckets: dict[QuadForm, list[int]] = {}
-    for i, f in enumerate(targets):
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise OutOfRangeError(f"p must be an odd prime, got {p}")
+    for f in targets:
         if f.disc != D:
             raise InvalidDiscriminantError(f"{f} has discriminant {f.disc}, not {D}")
-        buckets.setdefault(class_key(f), []).append(i)
-    hits = []
-    for key, idxs in buckets.items():
-        reps = represent(targets[idxs[0]], p)
-        if reps:
-            hits.append((idxs[0], reps))
-    if not hits:
-        raise NoneRepresentsError(f"no target class of discriminant {D} represents {p}")
-    if len(hits) > 1:
-        raise MultipleClassesRepresentError(
-            f"classes {[str(targets[i]) for i, _ in hits]} all represent {p}"
-        )
-    index, reps = hits[0]
-    return ClassMatch(index, tuple(reps))
+    r = sqrt_mod(D % p, p)
+    if r is None:
+        raise NoneRepresentsError(f"{D} is not a square mod {p}, so no form of it represents {p}")
+    b = r if (r - D) % 2 == 0 else p - r
+    key = class_key(QuadForm(p, b, (b * b - D) // (4 * p)))
+    for index, f in enumerate(targets):
+        if class_key(f) == key:
+            return ClassMatch(index, tuple(represent(f, p)))
+    raise NoneRepresentsError(f"no target class of discriminant {D} represents {p}")

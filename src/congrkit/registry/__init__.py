@@ -14,7 +14,6 @@ from .engine import (
     registered_ids,
     reports_json,
     verify_many,
-    verify_range,
 )
 
 # importing a statements module registers its ids
@@ -40,5 +39,4 @@ __all__ = [
     "registered_ids",
     "reports_json",
     "verify_many",
-    "verify_range",
 ]

@@ -28,7 +28,7 @@ from ..errors import (
 )
 from ..lucas import uv_mod
 from ..modarith import inv_mod, is_prime, jacobi, sieve_primes, sqrt_mod
-from ..qform import ClassMatch, QuadForm, class_group, class_key, classify_by_class, two_squares
+from ..qform import QuadForm, class_group, class_key, classify_by_class, two_squares
 
 SAMPLES_PER_PRIME = 20
 SAMPLER_RETRIES = 64
@@ -41,13 +41,12 @@ NOT_APPLICABLE = "NotApplicable"
 class Ctx:
     """Caches shared by every statement checked at one prime."""
 
-    __slots__ = ("p", "tables", "_uv", "_classify", "_two_sq")
+    __slots__ = ("p", "tables", "_uv", "_two_sq")
 
     def __init__(self, p: int):
         self.p = p
         self.tables = mod_tables(p)
         self._uv: dict[tuple[int, int, int], tuple[int, int]] = {}
-        self._classify: dict[tuple, ClassMatch] = {}
         self._two_sq: tuple[int, int] | None = None
 
     def inv(self, x: int) -> int:
@@ -85,13 +84,6 @@ class Ctx:
         if self._two_sq is None:
             self._two_sq = two_squares(self.p)
         return self._two_sq
-
-    def classify(self, D: int, targets: tuple[QuadForm, ...]) -> ClassMatch:
-        key = (D, targets)
-        got = self._classify.get(key)
-        if got is None:
-            got = self._classify[key] = classify_by_class(self.p, D, list(targets))
-        return got
 
 
 @dataclass
@@ -245,7 +237,7 @@ class FormTable:
         """lhs, or each entry of a list lhs, against the one sub-row that fires
         on p's representations by its row, which must all give the same value."""
         p = ctx.p
-        match = ctx.classify(self.disc, self.forms)
+        match = classify_by_class(p, self.disc, self.forms)
         form = self.forms[match.index]
         hit = None
         vals = set()
@@ -449,17 +441,6 @@ def verify_many(
             parts = list(pool.imap(_sweep, tasks))
     rows = {sid: [row for part in parts for row in part[sid]] for sid in ids}
     return [_build_report(sid, prime_limit, rows[sid], fail_fast) for sid in ids]
-
-
-def verify_range(
-    sid: str,
-    prime_limit: int,
-    jobs: int = 1,
-    seed: int = 0,
-    fail_fast: bool = False,
-) -> Report:
-    """Report for one id over all odd primes <= prime_limit."""
-    return verify_many([sid], prime_limit, jobs=jobs, seed=seed, fail_fast=fail_fast)[0]
 
 
 def reports_json(reports: list[Report]) -> str:

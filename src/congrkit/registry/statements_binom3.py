@@ -11,6 +11,7 @@ from __future__ import annotations
 from ..binomsum import binom_shift_lemma_check
 from ..cyclotomic import EisensteinInt, cubic_symbol
 from ..modarith import jacobi
+from ..qform import classify_by_class
 from .engine import (
     CaseTable,
     Ctx,
@@ -386,22 +387,31 @@ register(Statement(
 # -------------------------------- Lucas classification at two parameter pairs
 
 # FormTables for the import check and classification only; U and V are read
-# off the matched form, so no row has sub-rows.
+# off the matched form, so no row has sub-rows.  The exponent of the cubic
+# symbol ((b - 9) - 18w | a) depends only on the form [a, b, c], so it is
+# computed here, once per form.
+def _l33_instance(P, Q, d, bottom, disc, forms):
+    table = FormTable(disc, tuple((form, ()) for form in forms))
+    symbols = tuple(cubic_symbol(EisensteinInt(f.b - 9, -18), f.a).exponent
+                    for f in table.forms)
+    return dict(P=P, Q=Q, d=d, bottom=bottom, table=table, symbols=symbols)
+
+
 _L33_INSTANCES = (
-    ("(9,3)", dict(P=9, Q=3, d=69, bottom=23, table=FormTable(-207, tuple(
-        (form, ()) for form in ((1, 1, 52), (23, -23, 8), (13, 1, 4), (29, 5, 2)))))),
-    ("(9,-3)", dict(P=9, Q=-3, d=93, bottom=31, table=FormTable(-279, tuple(
-        (form, ()) for form in ((1, 1, 70), (31, -31, 10), (35, 29, 8), (5, 1, 14),
-                                (7, 1, 10), (19, 5, 4), (35, 1, 2)))))),
+    ("(9,3)", _l33_instance(9, 3, 69, 23, -207,
+                            ((1, 1, 52), (23, -23, 8), (13, 1, 4), (29, 5, 2)))),
+    ("(9,-3)", _l33_instance(9, -3, 93, 31, -279,
+                             ((1, 1, 70), (31, -31, 10), (35, 29, 8), (5, 1, 14),
+                              (7, 1, 10), (19, 5, 4), (35, 1, 2)))),
 )
 
 
 def _l33_one(ctx: Ctx, name, inst):
     p = ctx.p
     P, Q, d, table = inst["P"], inst["Q"], inst["d"], inst["table"]
-    match = ctx.classify(table.disc, table.forms)
+    match = classify_by_class(p, table.disc, table.forms)
     form = table.forms[match.index]
-    s = cubic_symbol(EisensteinInt(form.b - 9, -18), form.a).exponent
+    s = inst["symbols"][match.index]
     t3 = jacobi(p, 3)
     n3 = (p - t3) // 3
     u, v = ctx.uv(P, Q, n3)

@@ -28,7 +28,7 @@ from congrkit.cyclotomic import (
     quartic_character,
 )
 from congrkit.modarith import inv_mod, jacobi, sieve_primes
-from congrkit.registry import check_statement, delta_p, verify_many, verify_range
+from congrkit.registry import check_statement, delta_p, verify_many
 from congrkit import cli
 
 
@@ -192,7 +192,7 @@ def test_criterion_8_symbol_calibration_and_residuacity(capfd):
 
 def test_criterion_9_disputed_statement_handling(capfd):
     with _gate(capfd, 9, "disputed family reports witnesses without flipping exit"):
-        report = verify_range("thm-4.4", 100)
+        report = verify_many(["thm-4.4"], 100)[0]
         assert report.status == "disputed"
         assert report.failed >= 1
         for f in report.failures:

@@ -74,6 +74,12 @@ def test_classgroup(capsys):
     assert len(lines) == 6 and lines[0] == "[1,1,52]"
 
 
+def test_classgroup_above_the_disc_limit_errors(capsys):
+    assert main(["classgroup", "--disc", "-400000000003"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "class group limit" in err
+
+
 def test_primes(capsys):
     assert main(["primes", "--limit", "13"]) == 0
     assert capsys.readouterr().out.split() == ["2", "3", "5", "7", "11", "13"]

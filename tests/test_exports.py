@@ -1,7 +1,7 @@
 """The package's export lists."""
 
 import congrkit
-from congrkit import registry
+from congrkit import errors, registry
 
 
 def test_star_import_and_export_lists_resolve():
@@ -12,3 +12,9 @@ def test_star_import_and_export_lists_resolve():
         assert len(set(module.__all__)) == len(module.__all__)
         for name in module.__all__:
             assert getattr(module, name) is not None, (module.__name__, name)
+
+
+def test_removed_names_stay_removed():
+    for module, name in ((congrkit, "verify_range"), (registry, "verify_range"),
+                         (errors, "MultipleClassesRepresentError"), (registry.Ctx, "classify")):
+        assert not hasattr(module, name), name

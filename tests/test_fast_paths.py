@@ -8,6 +8,8 @@ Horner loop.  The shift lemmas read the factorial tables directly; a
 corrupted table entry must make them fail.  `ModTables` takes 1/k! from
 (p-1-k)! by Wilson's reflection; the oracle is the two-loop build, k! by a
 forward loop and 1/k! by a backward loop down from 1/(p-1)!.
+`classify_by_class` reduces the one form [p, b, (b^2 - D)/4p]; the oracle
+runs `represent` on every class of the target list.
 """
 
 import inspect
@@ -25,9 +27,12 @@ from congrkit.binomsum import (
     mod_tables,
     pack_lanes,
 )
-from congrkit.errors import OutOfRangeError
+from congrkit.errors import NoneRepresentsError, OutOfRangeError
 from congrkit.modarith import inv_mod, is_prime, sieve_primes
+from congrkit.qform import QuadForm, class_group, class_key, classify_by_class, reduce, represent
 from congrkit.registry import Ctx, cubic_roots
+from congrkit.registry import statements_binom3 as b3, statements_binom4 as b4
+from congrkit.registry.engine import FormTable
 from congrkit.registry.statements_binom3 import _zps_sum
 
 PRIMES_5_2000 = [p for p in sieve_primes(2000) if p >= 5]
@@ -72,6 +77,33 @@ def two_loop_tables(p):
     for i in range(p - 1, 0, -1):
         inv_fact[i - 1] = inv_fact[i] * i % p
     return fact, inv_fact
+
+
+def two_reduction_key(f):
+    """The reduced form of f or of its inverse [a, -b, c], whichever is less."""
+    return min(reduce(f), reduce(f.opposite()), key=lambda g: (g.a, g.b, g.c))
+
+
+def search_classes(p, D, targets):
+    """(index, representations) of the one class among targets that
+    represents p, found by running represent on each class; None when no
+    class does."""
+    buckets = {}
+    for i, f in enumerate(targets):
+        assert f.disc == D, f
+        buckets.setdefault(two_reduction_key(f), []).append(i)
+    hits = [(idxs[0], reps) for idxs in buckets.values()
+            if (reps := represent(targets[idxs[0]], p))]
+    assert len(hits) <= 1, (p, D, hits)
+    return (hits[0][0], tuple(hits[0][1])) if hits else None
+
+
+def form_tables():
+    """The nine FormTables of the registry."""
+    tables = [t for mod in (b3, b4) for t in vars(mod).values() if isinstance(t, FormTable)]
+    tables += [inst["table"] for _name, inst in b3._L33_INSTANCES]
+    assert len(tables) == 9
+    return tables
 
 
 # every (a, b) whose diagonal the registry sums
@@ -189,3 +221,34 @@ def test_shift_lemmas_fail_on_a_corrupted_table(monkeypatch, which, a):
         t.inv_fact[i] = (t.inv_fact[i] + 1) % p
         monkeypatch.setattr(binomsum, "mod_tables", lambda q: t)
         assert not binom_shift_lemma_check(which, p), i
+
+
+def test_class_key_matches_the_two_reductions():
+    # every form of the nine class groups, their inverses and the rows
+    forms = {f for t in form_tables() for f in t.forms}
+    for D in {t.disc for t in form_tables()}:
+        forms.update(g for f in class_group(D) for g in (f, f.opposite()))
+    assert len(forms) > 33
+    for f in forms:
+        assert class_key(f) == two_reduction_key(f), f
+
+
+def test_classify_by_class_matches_the_class_search():
+    pairs = 0
+    for table in form_tables():
+        for p in sieve_primes(10**4)[1:]:
+            want = search_classes(p, table.disc, table.forms)
+            if want is None:
+                with pytest.raises(NoneRepresentsError):
+                    classify_by_class(p, table.disc, table.forms)
+            else:
+                got = classify_by_class(p, table.disc, table.forms)
+                assert (got.index, got.representations) == want, (table.disc, p)
+            pairs += 1
+    assert pairs == 11_052
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 2, 9, 15, 561])
+def test_classify_by_class_refuses_a_p_that_is_not_an_odd_prime(p):
+    with pytest.raises(OutOfRangeError):
+        classify_by_class(p, -207, [QuadForm(1, 1, 52)])

@@ -10,9 +10,11 @@ from congrkit.errors import (
     NoneRepresentsError,
     NonNegativeDiscriminantError,
     NotOneModFourError,
+    OutOfRangeError,
 )
 from congrkit.modarith import jacobi, sieve_primes
 from congrkit.qform import (
+    CLASS_GROUP_DISC_LIMIT,
     QuadForm,
     classify_by_class,
     class_group,
@@ -97,6 +99,13 @@ def test_class_group_rejects_bad_disc():
         class_group(5)
     with pytest.raises(InvalidDiscriminantError):
         class_group(-6)  # 2 mod 4
+
+
+@pytest.mark.parametrize("D", [-CLASS_GROUP_DISC_LIMIT - 4, -10_000_003, -400_000_000_003])
+def test_class_group_refuses_a_disc_above_the_limit(D):
+    # the enumeration is O(|D|); |D| = 10^7 already takes about half a second
+    with pytest.raises(OutOfRangeError, match="class group limit"):
+        class_group(D)
 
 
 def test_represent_spot():

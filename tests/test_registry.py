@@ -18,7 +18,6 @@ from congrkit.registry import (
     registered_ids,
     reports_json,
     verify_many,
-    verify_range,
 )
 from congrkit.registry import Ctx, engine
 from congrkit.registry.engine import CaseTable, FormTable
@@ -65,7 +64,7 @@ def test_check_statement_guards():
 
 
 def test_verify_range_counts_add_up():
-    r = verify_range("cor-2.1", 500)
+    r = verify_many(["cor-2.1"], 500)[0]
     assert r.checked == r.passed + r.failed
     assert r.failed == 0
     assert r.status == "verified"
@@ -74,7 +73,7 @@ def test_verify_range_counts_add_up():
 
 def test_verify_range_rejects_tiny_limit():
     with pytest.raises(OutOfRangeError):
-        verify_range("cor-2.1", 4)
+        verify_many(["cor-2.1"], 4)
 
 
 def test_verify_rejects_limit_above_tables_before_sieving(monkeypatch):
@@ -128,7 +127,7 @@ def test_declared_keys_are_the_drawn_keys():
 
 
 def test_disputed_statement_reports_failures():
-    r = verify_range("thm-4.4", 100)
+    r = verify_many(["thm-4.4"], 100)[0]
     assert r.status == "disputed"
     assert r.failed > 0
     p11 = [f for f in r.failures if f["prime"] == 11]
@@ -139,8 +138,8 @@ def test_disputed_statement_reports_failures():
 
 
 def test_fail_fast_keeps_lowest_prime():
-    full = verify_range("thm-4.4", 100)
-    fast = verify_range("thm-4.4", 100, fail_fast=True)
+    full = verify_many(["thm-4.4"], 100)[0]
+    fast = verify_many(["thm-4.4"], 100, fail_fast=True)[0]
     assert fast.failures[0]["prime"] == full.failures[0]["prime"] == 11
     assert len(fast.failures) == 1
 
@@ -212,8 +211,8 @@ def test_pool_size_is_bounded(monkeypatch):
 
 
 def test_seed_changes_sampled_parameters_not_verdicts():
-    a = verify_range("thm-2.1", 300, seed=1)
-    b = verify_range("thm-2.1", 300, seed=2)
+    a = verify_many(["thm-2.1"], 300, seed=1)[0]
+    b = verify_many(["thm-2.1"], 300, seed=2)[0]
     assert a.failed == b.failed == 0
     assert a.checked == b.checked
 

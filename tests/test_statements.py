@@ -4,7 +4,7 @@ import pytest
 
 from congrkit.modarith import sieve_primes
 from congrkit.qform import QuadForm, classify_by_class, represent
-from congrkit.registry import check_statement, verify_range
+from congrkit.registry import check_statement, verify_many
 from congrkit.registry.engine import REGISTRY
 from congrkit.registry.statements_binom3 import _TABLE_3_4, _TABLE_3_5
 from congrkit.registry.statements_binom4 import _TABLE_2_8
@@ -105,7 +105,7 @@ def test_disputed_family_witness_structure():
 def test_every_verified_statement_clean_to_600():
     from congrkit.registry import registered_ids
     for sid in registered_ids():
-        r = verify_range(sid, 600, seed=3)
+        r = verify_many([sid], 600, seed=3)[0]
         if r.status == "verified":
             assert r.failed == 0, (sid, r.failures[:2])
         else:

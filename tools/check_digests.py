@@ -1,4 +1,5 @@
-"""Check that the canonical report JSON of `verify --all` is unchanged.
+"""Check that the canonical report JSON of `verify --all` is unchanged, and
+that the verdicts of the form-table statements are too.
 
     python3 tools/check_digests.py
 
@@ -6,6 +7,12 @@ Runs `congrkit verify --all --format json` from this checkout's `src/` at
 each pinned (max prime, jobs) setting below, prints the sha256 of its output
 next to the pinned one, and exits 1 when a run fails or a digest differs.
 The 10^4 run takes a minute or two.
+
+The canonical JSON lists failures only, so a fourth digest pins the passing
+verdicts of the ids that classify p by a form class (row labels and `rep`
+witnesses included): the sha256 of the sorted-key JSON of
+`dataclasses.asdict(check_statement(id, p))`, one line each, for every
+FORM_IDS id at every odd prime <= 3000 and at the primes in (100000, 100170).
 """
 
 from __future__ import annotations
@@ -24,6 +31,30 @@ PINNED = (
     (10_000, 1, "cdcf30aae4b4f1b1f82a4ebe4eef66a28817940e637db7203d6687a3fe53bf98"),
 )
 
+FORM_IDS = ("thm-2.8", "thm-3.4", "thm-3.5", "thm-3.6", "thm-3.7", "thm-3.8", "thm-3.9",
+            "intro-1.3", "lem-3.3")
+FORM_DIGEST = "f07cc32067dbbe894ffebc18fc3026cfdfbcf0bf12032c6d7629b4a6b458d2e7"
+
+_FORM_VERDICTS = """
+import dataclasses, hashlib, json, sys
+from congrkit.modarith import is_prime
+from congrkit.registry import check_statement
+primes = [p for p in range(3, 3001, 2) if is_prime(p)]
+primes += [p for p in range(100001, 100170, 2) if is_prime(p)]
+h = hashlib.sha256()
+for sid in sys.argv[1:]:
+    for p in primes:
+        h.update(json.dumps(dataclasses.asdict(check_statement(sid, p)), sort_keys=True).encode())
+        h.update(b"\\n")
+print(h.hexdigest())
+"""
+
+
+def _report(ok: bool, what: str, code: int, got: str, want: str) -> bool:
+    print(f"{'ok' if ok else 'MISMATCH':8s} {what} exit={code} sha256={got}"
+          + ("" if ok else f" want={want}"))
+    return ok
+
 
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -34,10 +65,13 @@ def main() -> int:
              "--max-prime", str(limit), "--jobs", str(jobs)],
             env=env, capture_output=True)
         got = hashlib.sha256(res.stdout).hexdigest()
-        ok = res.returncode == 0 and got == want
-        bad += not ok
-        print(f"{'ok' if ok else 'MISMATCH':8s} max-prime={limit} jobs={jobs} "
-              f"exit={res.returncode} sha256={got}" + ("" if ok else f" want={want}"))
+        bad += not _report(res.returncode == 0 and got == want,
+                           f"max-prime={limit} jobs={jobs}", res.returncode, got, want)
+    res = subprocess.run([sys.executable, "-c", _FORM_VERDICTS, *FORM_IDS],
+                         env=env, capture_output=True, text=True)
+    got = res.stdout.strip()
+    bad += not _report(res.returncode == 0 and got == FORM_DIGEST,
+                       "form-table verdicts", res.returncode, got, FORM_DIGEST)
     return 1 if bad else 0
 
 
