@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import (
@@ -173,8 +174,9 @@ def classify_by_class(p: int, D: int, targets: Sequence[QuadForm]) -> ClassMatch
     For b = D (mod 2) with b^2 = D (mod 4p), the form [p, b, (b^2 - D)/4p]
     has discriminant D and represents p, so its class, up to inversion, is
     the only one that does (Cox, Primes of the Form x^2 + ny^2, Lemma 2.5
-    and Thm 2.8).  Raises NoneRepresentsError when D is not a square mod p
-    or no target is in that class.
+    and Thm 2.8).  The class keys of the targets are computed once per
+    tuple of targets.  Raises NoneRepresentsError when D is not a square
+    mod p or no target is in that class.
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise OutOfRangeError(f"p must be an odd prime, got {p}")
@@ -186,7 +188,16 @@ def classify_by_class(p: int, D: int, targets: Sequence[QuadForm]) -> ClassMatch
         raise NoneRepresentsError(f"{D} is not a square mod {p}, so no form of it represents {p}")
     b = r if (r - D) % 2 == 0 else p - r
     key = class_key(QuadForm(p, b, (b * b - D) // (4 * p)))
+    index = _first_of_class(tuple(targets)).get(key)
+    if index is None:
+        raise NoneRepresentsError(f"no target class of discriminant {D} represents {p}")
+    return ClassMatch(index, tuple(represent(targets[index], p)))
+
+
+@lru_cache(maxsize=64)
+def _first_of_class(targets: tuple[QuadForm, ...]) -> dict[QuadForm, int]:
+    """class_key -> index of the first target in that class."""
+    first: dict[QuadForm, int] = {}
     for index, f in enumerate(targets):
-        if class_key(f) == key:
-            return ClassMatch(index, tuple(represent(f, p)))
-    raise NoneRepresentsError(f"no target class of discriminant {D} represents {p}")
+        first.setdefault(class_key(f), index)
+    return first

@@ -19,7 +19,7 @@ from math import gcd
 from multiprocessing import get_context
 from typing import Any, Callable
 
-from ..binomsum import TABLE_PRIME_LIMIT, mod_tables
+from ..binomsum import TABLE_PRIME_LIMIT, ModTables, mod_tables
 from ..errors import (
     InvalidParametersError,
     OutOfRangeError,
@@ -39,15 +39,27 @@ NOT_APPLICABLE = "NotApplicable"
 
 
 class Ctx:
-    """Caches shared by every statement checked at one prime."""
+    """Caches shared by every statement checked at one odd prime
+    p <= TABLE_PRIME_LIMIT; any other p is refused here.  The factorial
+    tables are built on the first read of ctx.tables, so a prime where no
+    check reads them never builds them."""
 
-    __slots__ = ("p", "tables", "_uv", "_two_sq")
+    __slots__ = ("p", "_tables", "_uv", "_two_sq")
 
     def __init__(self, p: int):
+        if not 3 <= p <= TABLE_PRIME_LIMIT or p % 2 == 0 or not is_prime(p):
+            raise OutOfRangeError(
+                f"p must be an odd prime at most {TABLE_PRIME_LIMIT}, got {p}")
         self.p = p
-        self.tables = mod_tables(p)
+        self._tables: ModTables | None = None
         self._uv: dict[tuple[int, int, int], tuple[int, int]] = {}
         self._two_sq: tuple[int, int] | None = None
+
+    @property
+    def tables(self) -> ModTables:
+        if self._tables is None:
+            self._tables = mod_tables(self.p)
+        return self._tables
 
     def inv(self, x: int) -> int:
         return inv_mod(x % self.p, self.p)
@@ -312,23 +324,20 @@ def _admits(stmt: Statement, params: dict, p: int) -> bool:
         f"{stmt.id}: malformed parameters {params!r}, want integers {', '.join(stmt.keys)}")
 
 
-def _prime_result(
-    stmt: Statement, p: int, seed: int, params: dict | None = None, ctx: Ctx | None = None
-):
-    """None when stmt is not applicable at p, else (parameters, outcome).
+def _prime_result(stmt: Statement, ctx: Ctx, seed: int, params: dict | None = None):
+    """None when stmt is not applicable at p = ctx.p, else (parameters, outcome).
 
     Explicit params are checked once if the hypothesis admits them.  A
     sampled statement checks up to SAMPLES_PER_PRIME drawn tuples and gives
     the first failing one, or ({"samples": n}, a bare pass); a sampler that
-    finds no admissible tuple makes the prime not applicable.  Without a
-    shared ctx, the prime's tables are built only once stmt applies.
+    finds no admissible tuple makes the prime not applicable.  The prime's
+    tables are built only when a check first reads ctx.tables.
     """
+    p = ctx.p
     if params is not None and not _admits(stmt, params, p):
         return None
     if not stmt.applies(p):
         return None
-    if ctx is None:
-        ctx = Ctx(p)
     if stmt.sampler is None or params is not None:
         return params, stmt.check(ctx, params)
     rng = random.Random(f"{seed}|{stmt.id}|{p}")
@@ -349,11 +358,10 @@ def check_statement(
     sid: str, p: int, params: dict | None = None, seed: int = 0
 ) -> Verdict:
     """Check one statement at one prime; samples parameters unless given
-    (given ones outside the statement's hypothesis are NotApplicable)."""
+    (given ones outside the statement's hypothesis are NotApplicable).
+    Ctx(p) refuses a p that is not an odd prime <= TABLE_PRIME_LIMIT."""
     stmt = _get(sid)
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise OutOfRangeError(f"p must be an odd prime, got {p}")
-    got = _prime_result(stmt, p, seed, params)
+    got = _prime_result(stmt, Ctx(p), seed, params)
     if got is None:
         return Verdict(sid, p, params, NOT_APPLICABLE)
     used, out = got
@@ -373,7 +381,7 @@ def _sweep(args: tuple) -> dict[str, list]:
             break
         ctx = Ctx(p)
         for sid in live:
-            got = _prime_result(REGISTRY[sid], p, seed, ctx=ctx)
+            got = _prime_result(REGISTRY[sid], ctx, seed)
             failure = None if got is None or got[1].ok else _failure(p, *got)
             rows[sid].append((p, got is not None, failure))
         if fail_fast:
@@ -438,7 +446,9 @@ def verify_many(
     else:
         tasks = [(ids, chunk, seed, fail_fast) for chunk in _split(primes, jobs)]
         with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
-            parts = list(pool.imap(_sweep, tasks))
+            # the last chunks hold the largest primes and cost the most:
+            # hand them out first so no worker is left with one at the end
+            parts = list(pool.imap(_sweep, tasks[::-1]))[::-1]
     rows = {sid: [row for part in parts for row in part[sid]] for sid in ids}
     return [_build_report(sid, prime_limit, rows[sid], fail_fast) for sid in ids]
 

@@ -14,12 +14,8 @@ from math import gcd
 
 from ..binomsum import binom_shift_lemma_check
 from ..cyclotomic import GaussianInt, quartic_symbol
-from ..errors import (
-    CongruenceError,
-    NotCoprimeError,
-    OutOfRangeError,
-)
-from ..modarith import is_prime, jacobi, sqrt_mod
+from ..errors import CongruenceError, NotCoprimeError
+from ..modarith import jacobi, sqrt_mod
 from .engine import (
     CaseTable,
     Ctx,
@@ -619,11 +615,10 @@ def delta_p(b: int, m: int, p: int) -> tuple[DeltaP | None, DeltaP]:
     The congruence derivation is None exactly when p = 1 mod 4 and
     (b^2+4m^2|p) = -1: both displays are then plain zero and carry no sign
     information (the zero rows are still asserted)."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise OutOfRangeError(f"p must be an odd prime, got {p}")
+    ctx = Ctx(p)  # refuses a p that is not an odd prime <= TABLE_PRIME_LIMIT
     if (b * m * (b * b + 4 * m * m)) % p == 0:
         raise NotCoprimeError(f"p={p} divides b*m*(b^2+4m^2) for b={b}, m={m}")
-    data = delta_solve(b, m, Ctx(p))
+    data = delta_solve(b, m, ctx)
     if not data["consistent"]:
         raise CongruenceError(
             f"displays do not determine a unit sign at p={p}: {data}"

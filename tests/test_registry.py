@@ -19,6 +19,7 @@ from congrkit.registry import (
     reports_json,
     verify_many,
 )
+from congrkit.modarith import is_prime
 from congrkit.registry import Ctx, engine
 from congrkit.registry.engine import CaseTable, FormTable
 from congrkit.qform import QuadForm
@@ -61,6 +62,52 @@ def test_check_statement_guards():
         check_statement("thm-2.6", 9)
     with pytest.raises(OutOfRangeError):
         check_statement("thm-2.6", 2)
+
+
+_ABOVE_LIMIT = next(q for q in range(TABLE_PRIME_LIMIT + 1, TABLE_PRIME_LIMIT + 100)
+                    if is_prime(q))
+
+
+@pytest.mark.parametrize("p", [1, 2, 9, _ABOVE_LIMIT])
+def test_ctx_refuses_p_at_construction(p):
+    with pytest.raises(OutOfRangeError, match=str(TABLE_PRIME_LIMIT)):
+        Ctx(p)
+
+
+# lem-3.3 applies above the limit and its check reads no table; eq-4.1 does
+# not apply there
+@pytest.mark.parametrize("sid, applies", [("lem-3.3", True), ("eq-4.1", False)])
+def test_check_statement_refuses_p_above_the_limit(sid, applies):
+    assert engine.REGISTRY[sid].applies(_ABOVE_LIMIT) is applies
+    with pytest.raises(OutOfRangeError, match=str(TABLE_PRIME_LIMIT)):
+        check_statement(sid, _ABOVE_LIMIT)
+
+
+def _count_table_builds(monkeypatch) -> list[int]:
+    built = []
+    real = engine.mod_tables
+
+    def counting(p):
+        built.append(p)
+        return real(p)
+
+    monkeypatch.setattr(engine, "mod_tables", counting)
+    return built
+
+
+def test_tables_are_built_only_where_a_check_reads_them(monkeypatch):
+    built = _count_table_builds(monkeypatch)
+    report = verify_many(["thm-3.8"], 2000)[0]
+    applies = engine.REGISTRY["thm-3.8"].applies
+    assert built == [p for p in range(3, 2000) if is_prime(p) and applies(p)]
+    assert len(built) == report.checked > 0
+    assert report.not_applicable > 0
+
+
+def test_a_shared_ctx_builds_its_tables_at_most_once(monkeypatch):
+    built = _count_table_builds(monkeypatch)
+    verify_many(registered_ids(), 300)
+    assert built and len(built) == len(set(built))
 
 
 def test_verify_range_counts_add_up():
