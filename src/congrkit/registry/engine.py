@@ -301,45 +301,35 @@ def _sign_pow(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-def _failure(p: int, params: dict | None, out: Outcome) -> dict:
-    return {
-        "prime": p,
-        "params": params or {},
-        "lhs": out.lhs,
-        "row": out.row,
-        "rhs": out.rhs,
-        "witnesses": out.witnesses or {},
-    }
-
-
 def _admits(stmt: Statement, params: dict, p: int) -> bool:
     """Whether explicit params satisfy stmt's hypothesis at p; raises unless
-    they are a dict of integers keyed by exactly stmt.keys."""
+    they are a dict of integers (not bools) keyed by exactly stmt.keys."""
     if stmt.hypothesis is None:
         raise InvalidParametersError(f"{stmt.id} takes no parameters, got {params!r}")
     if (isinstance(params, dict) and set(params) == set(stmt.keys)
-            and all(isinstance(v, int) for v in params.values())):
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in params.values())):
         return stmt.hypothesis(params, p)
     raise InvalidParametersError(
         f"{stmt.id}: malformed parameters {params!r}, want integers {', '.join(stmt.keys)}")
 
 
-def _prime_result(stmt: Statement, ctx: Ctx, seed: int, params: dict | None = None):
-    """None when stmt is not applicable at p = ctx.p, else (parameters, outcome).
+def _verdict(stmt: Statement, ctx: Ctx, seed: int, params: dict | None = None) -> Verdict:
+    """stmt's verdict at p = ctx.p.
 
-    Explicit params are checked once if the hypothesis admits them.  A
-    sampled statement checks up to SAMPLES_PER_PRIME drawn tuples and gives
-    the first failing one, or ({"samples": n}, a bare pass); a sampler that
-    finds no admissible tuple makes the prime not applicable.  The prime's
-    tables are built only when a check first reads ctx.tables.
+    Explicit params are checked once if the hypothesis admits them, and are
+    NotApplicable otherwise.  A sampled statement checks up to
+    SAMPLES_PER_PRIME drawn tuples and gives the first failing one, or a pass
+    with parameters {"samples": n}; a sampler that finds no admissible tuple
+    makes the prime NotApplicable.  The prime's tables are built only when a
+    check first reads ctx.tables.
     """
     p = ctx.p
-    if params is not None and not _admits(stmt, params, p):
-        return None
-    if not stmt.applies(p):
-        return None
+    if (params is not None and not _admits(stmt, params, p)) or not stmt.applies(p):
+        return Verdict(stmt.id, p, params, NOT_APPLICABLE)
     if stmt.sampler is None or params is not None:
-        return params, stmt.check(ctx, params)
+        out = stmt.check(ctx, params)
+        return Verdict(stmt.id, p, params, PASS if out.ok else FAIL,
+                       out.lhs, out.row, out.rhs, out.witnesses)
     rng = random.Random(f"{seed}|{stmt.id}|{p}")
     tried = 0
     for _ in range(SAMPLES_PER_PRIME):
@@ -350,8 +340,10 @@ def _prime_result(stmt: Statement, ctx: Ctx, seed: int, params: dict | None = No
         out = stmt.check(ctx, drawn)
         if not out.ok:
             # a sampled failure always carries a witnesses dict
-            return drawn, Outcome(False, out.lhs, out.row, out.rhs, out.witnesses or {})
-    return ({"samples": SAMPLES_PER_PRIME}, Outcome(True)) if tried else None
+            return Verdict(stmt.id, p, drawn, FAIL, out.lhs, out.row, out.rhs, out.witnesses or {})
+    if tried:
+        return Verdict(stmt.id, p, {"samples": SAMPLES_PER_PRIME}, PASS)
+    return Verdict(stmt.id, p, None, NOT_APPLICABLE)
 
 
 def check_statement(
@@ -360,60 +352,44 @@ def check_statement(
     """Check one statement at one prime; samples parameters unless given
     (given ones outside the statement's hypothesis are NotApplicable).
     Ctx(p) refuses a p that is not an odd prime <= TABLE_PRIME_LIMIT."""
-    stmt = _get(sid)
-    got = _prime_result(stmt, Ctx(p), seed, params)
-    if got is None:
-        return Verdict(sid, p, params, NOT_APPLICABLE)
-    used, out = got
-    return Verdict(
-        sid, p, used, PASS if out.ok else FAIL, out.lhs, out.row, out.rhs, out.witnesses
-    )
+    return _verdict(_get(sid), Ctx(p), seed, params)
 
 
-def _sweep(args: tuple) -> dict[str, list]:
-    """(p, applicable, failure) rows per id over a run of primes; with
-    fail_fast an id stops at its first failure."""
-    ids, primes, seed, fail_fast = args
-    rows: dict[str, list] = {sid: [] for sid in ids}
+def _tally(report: Report, v: Verdict) -> None:
+    """Count v into report; a failure is kept as its failure dict."""
+    if v.outcome == NOT_APPLICABLE:
+        report.not_applicable += 1
+        return
+    report.checked += 1
+    if v.outcome == PASS:
+        report.passed += 1
+        return
+    report.failed += 1
+    report.failures.append({"prime": v.prime, "params": v.parameters or {}, "lhs": v.lhs,
+                            "row": v.row, "rhs": v.rhs, "witnesses": v.witnesses or {}})
+
+
+def _sweep(args: tuple) -> dict[str, Report]:
+    """Each id's Report over a run of primes, tallied one verdict at a time;
+    with fail_fast an id stops at its first failure."""
+    ids, primes, prime_limit, seed, fail_fast = args
+    reports = {sid: Report(sid, prime_limit, 0, 0, 0, 0, [], REGISTRY[sid].status)
+               for sid in ids}
     live = list(ids)
     for p in primes:
         if not live:
             break
         ctx = Ctx(p)
         for sid in live:
-            got = _prime_result(REGISTRY[sid], ctx, seed)
-            failure = None if got is None or got[1].ok else _failure(p, *got)
-            rows[sid].append((p, got is not None, failure))
+            _tally(reports[sid], _verdict(REGISTRY[sid], ctx, seed))
         if fail_fast:
-            live = [sid for sid in live if rows[sid][-1][2] is None]
-    return rows
+            live = [sid for sid in live if not reports[sid].failed]
+    return reports
 
 
 def _split(primes: list[int], jobs: int) -> list[list[int]]:
     size = max(8, (len(primes) + jobs * 8 - 1) // (jobs * 8))
     return [primes[i : i + size] for i in range(0, len(primes), size)]
-
-
-def _build_report(
-    sid: str, prime_limit: int, rows: list[tuple], fail_fast: bool
-) -> Report:
-    checked = passed = failed = na = 0
-    failures: list[dict] = []
-    for _p, applicable, failure in rows:
-        if not applicable:
-            na += 1
-            continue
-        checked += 1
-        if failure is None:
-            passed += 1
-        else:
-            failed += 1
-            failures.append(failure)
-            if fail_fast:
-                break
-    return Report(
-        sid, prime_limit, checked, passed, failed, na, failures, REGISTRY[sid].status
-    )
 
 
 def verify_many(
@@ -442,15 +418,25 @@ def verify_many(
     primes = [q for q in sieve_primes(prime_limit) if q > 2]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(primes) < 16:
-        parts = [_sweep((ids, primes, seed, fail_fast))]
+        parts = [_sweep((ids, primes, prime_limit, seed, fail_fast))]
     else:
-        tasks = [(ids, chunk, seed, fail_fast) for chunk in _split(primes, jobs)]
+        tasks = [(ids, chunk, prime_limit, seed, fail_fast) for chunk in _split(primes, jobs)]
         with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
             # the last chunks hold the largest primes and cost the most:
             # hand them out first so no worker is left with one at the end
             parts = list(pool.imap(_sweep, tasks[::-1]))[::-1]
-    rows = {sid: [row for part in parts for row in part[sid]] for sid in ids}
-    return [_build_report(sid, prime_limit, rows[sid], fail_fast) for sid in ids]
+    totals = parts[0]
+    for part in parts[1:]:  # in prime order
+        for sid, r in part.items():
+            t = totals[sid]
+            if fail_fast and t.failed:
+                continue  # the id stopped at its first failure
+            t.checked += r.checked
+            t.passed += r.passed
+            t.failed += r.failed
+            t.not_applicable += r.not_applicable
+            t.failures += r.failures
+    return [totals[sid] for sid in ids]
 
 
 def reports_json(reports: list[Report]) -> str:

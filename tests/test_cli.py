@@ -169,6 +169,8 @@ _ABOVE_LIMIT = next(q for q in range(TABLE_PRIME_LIMIT + 1, TABLE_PRIME_LIMIT + 
                  id="represent-prime-above-trial-division"),
     pytest.param(["compute", "symbol", "--kind", "cubic", "--top", "2,1",
                   "--bottom", "1000000016000000063"], id="cubic-bottom-above-trial-division"),
+    # above modarith.SIEVE_LIMIT, where the sieve would ask for terabytes
+    pytest.param(["primes", "--limit", "10000000000000"], id="primes-above-sieve-limit"),
 ])
 def test_above_table_limit_errors(capsys, monkeypatch, argv):
     # each command refuses before it sieves, builds tables or divides

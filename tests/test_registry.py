@@ -151,6 +151,7 @@ def test_explicit_params_outside_hypothesis_not_applicable(sid, p, params):
     ("thm-3.10", {"a": "x"}),  # non-integer value
     ("thm-2.6", {"zz": 1}),  # the statement takes no parameters
     ("thm-3.10", {"a": 5, "zz": 5}),  # a key the statement does not take
+    ("thm-3.1", {"a": True, "b": 2}),  # a bool is not an integer parameter
 ])
 def test_explicit_params_input_errors(sid, params):
     assert issubclass(InvalidParametersError, CongruenceError)
@@ -255,6 +256,22 @@ def test_pool_size_is_bounded(monkeypatch):
     monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
     assert reports_json(verify_many(["thm-2.1"], 400, jobs=8)) == want
     assert asked == [4, 6]
+
+
+def test_verify_many_agrees_with_check_statement():
+    # both tally the verdicts of one path: counts and failure dicts match
+    ids = registered_ids()
+    primes = [q for q in range(3, 301, 2) if is_prime(q)]
+    for r in verify_many(ids, 300, seed=5):
+        verdicts = [check_statement(r.id, q, seed=5) for q in primes]
+        outcomes = [v.outcome for v in verdicts]
+        assert (r.checked, r.passed, r.failed, r.not_applicable) == (
+            len(primes) - outcomes.count("NotApplicable"), outcomes.count("Pass"),
+            outcomes.count("Fail"), outcomes.count("NotApplicable")), r.id
+        assert r.failures == [
+            {"prime": v.prime, "params": v.parameters or {}, "lhs": v.lhs, "row": v.row,
+             "rhs": v.rhs, "witnesses": v.witnesses or {}}
+            for v in verdicts if v.outcome == "Fail"], r.id
 
 
 def test_seed_changes_sampled_parameters_not_verdicts():
