@@ -174,6 +174,27 @@ def test_declared_keys_are_the_drawn_keys():
     assert "copy" not in REGISTRY
 
 
+def test_drawn_tuples_are_pinned():
+    # A passing sampled verdict records only {"samples": 20}, so no report
+    # digest sees a drawn tuple; this pins the samplers' draws themselves.
+    import hashlib
+    import random
+    from congrkit.registry.engine import REGISTRY
+    primes = [p for p in range(3, 601, 2) if is_prime(p)] + [100003, 100019]
+    h = hashlib.sha256()
+    n = 0
+    for sid in sorted(s.id for s in REGISTRY.values() if s.sampler):
+        stmt = REGISTRY[sid]
+        for seed in (0, 1, 7):
+            for p in filter(stmt.applies, primes):
+                rng = random.Random(f"{seed}|{sid}|{p}")
+                drawn = [stmt.sampler(rng, p) for _ in range(20)]
+                h.update(json.dumps([sid, seed, p, drawn], sort_keys=True).encode())
+                n += 1
+    assert n == 3735
+    assert h.hexdigest() == "59d589340db639425a1a5a2c1a8432d9b763c162bfd681ec042ebff9d2b1f7af"
+
+
 def test_disputed_statement_reports_failures():
     r = verify_many(["thm-4.4"], 100)[0]
     assert r.status == "disputed"
