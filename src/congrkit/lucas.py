@@ -16,14 +16,15 @@ EXACT_INDEX_LIMIT = 500
 
 
 def uv_mod(P: int, Q: int, n: int, p: int) -> tuple[int, int]:
-    """(U_n, V_n) mod p for integer residues P, Q; the fast inner core."""
-    if n < 0:
-        raise OutOfRangeError(f"Lucas index must be non-negative, got {n}")
+    """(U_n, V_n) mod an odd p >= 3 for integer residues P, Q; the fast core."""
+    if n < 0 or p < 3 or p % 2 == 0:
+        raise OutOfRangeError(
+            f"need a Lucas index n >= 0 and an odd modulus p >= 3, got n={n}, p={p}")
     if n == 0:
         return 0, 2 % p
     P %= p
     Q %= p
-    inv2 = (p + 1) // 2  # inverse of 2 mod an odd prime
+    inv2 = (p + 1) // 2  # inverse of 2 mod an odd p
     disc = (P * P - 4 * Q) % p
     u, v, qn = 0, 2 % p, 1  # state at index m, plus Q^m
     for bit in bin(n)[2:]:

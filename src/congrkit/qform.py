@@ -26,6 +26,8 @@ from .errors import (
 from .modarith import is_prime, sqrt_mod
 
 CLASS_GROUP_DISC_LIMIT = 10**7
+# y window cap of represent; a reduced form needs <= sqrt(4p/3) < 1.2e6 at any p <= 10^12
+REPRESENT_WINDOW_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,8 @@ def represent(f: QuadForm, p: int) -> list[tuple[int, int]]:
     """All integer pairs (x, y) with f(x, y) = p, sorted.
 
     Complete: any solution has |y| <= sqrt(4 a p / |D|), so scanning y in
-    that window and solving the quadratic in x finds everything.
+    that window and solving the quadratic in x finds everything.  A window
+    wider than REPRESENT_WINDOW_LIMIT is refused.
     """
     _check_definite(f)
     target = int(p)
@@ -118,6 +121,8 @@ def represent(f: QuadForm, p: int) -> list[tuple[int, int]]:
         return []
     d = -f.disc
     ymax = isqrt(4 * f.a * target // d) + 1
+    if ymax > REPRESENT_WINDOW_LIMIT:
+        raise OutOfRangeError(f"{f} at {target} needs |y| <= {ymax} > {REPRESENT_WINDOW_LIMIT}")
     found = []
     for y in range(-ymax, ymax + 1):
         # a x^2 + (b y) x + (c y^2 - target) = 0

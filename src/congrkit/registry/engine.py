@@ -2,8 +2,9 @@
 
 Each registered statement couples an applicability predicate over odd
 primes, a check routine that evaluates the claimed congruence at one prime
-and, for statements over parameter tuples, the tuple hypothesis with a
-sampler drawing tuples that satisfy it.  The engine runs statements over
+and, for statements over parameter tuples, one draw per parameter and the
+tuple hypothesis; register builds from them the sampler that draws tuples
+satisfying it.  The engine runs statements over
 prime ranges, shards the work across processes when asked, and merges
 everything back into reports whose JSON form is byte-stable across job
 counts and runs.
@@ -14,7 +15,8 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from math import gcd
 from multiprocessing import get_context
 from typing import Any, Callable
@@ -115,11 +117,16 @@ class Statement:
     status: str  # "verified" or "disputed"
     applies: Callable[[int], bool]
     check: Callable[[Ctx, dict | None], Outcome]
-    sampler: Callable[[random.Random, int], dict | None] | None = None
+    sampler: Callable[[random.Random, int], dict | None] | None = None  # set by register
     # (params, p) -> whether the tuple satisfies the statement's hypothesis
     hypothesis: Callable[[dict, int], bool] | None = None
-    keys: tuple[str, ...] = ()  # the names of the tuple's parameters
+    # parameter name -> draw(rng, p) of its value, in draw order
+    draw: dict[str, Callable[[random.Random, int], int]] | None = None
     notes: str = ""
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        return tuple(self.draw or ())
 
 
 @dataclass
@@ -152,9 +159,10 @@ REGISTRY: dict[str, Statement] = {}
 def register(stmt: Statement) -> Statement:
     if stmt.id in REGISTRY:
         raise ValueError(f"duplicate statement id {stmt.id}")
-    parts = (stmt.sampler, stmt.hypothesis, stmt.keys)
-    if any(parts) and not all(parts):
-        raise ValueError(f"{stmt.id}: a sampler, a hypothesis and parameter keys go together")
+    if stmt.sampler or bool(stmt.draw) != bool(stmt.hypothesis):
+        raise ValueError(f"{stmt.id}: a draw and a hypothesis go together, not a sampler")
+    if stmt.draw:
+        stmt = replace(stmt, sampler=partial(_sample, tuple(stmt.draw.items()), stmt.hypothesis))
     REGISTRY[stmt.id] = stmt
     return stmt
 
@@ -283,18 +291,34 @@ def row_check(lhs: Callable[[Ctx], Any], table: CaseTable | FormTable) -> Callab
     return check
 
 
-def rejection_sampler(draw: Callable, hypothesis: Callable) -> Callable:
-    """Sampler returning the first of up to SAMPLER_RETRIES draw(rng, p)
-    that hypothesis(params, p) admits, or None when none does."""
+# Value draws for Statement.draw: draw(rng, p) -> int.
+def unit(rng: random.Random, p: int) -> int:
+    return rng.randrange(1, p)
 
-    def sampler(rng: random.Random, p: int) -> dict | None:
-        for _ in range(SAMPLER_RETRIES):
-            params = draw(rng, p)
-            if hypothesis(params, p):
-                return params
-        return None
 
-    return sampler
+def unit_not_one(rng: random.Random, p: int) -> int:
+    return rng.randrange(2, p)
+
+
+def small(rng: random.Random, p: int) -> int:
+    return rng.randrange(1, 61)
+
+
+def small_signed(rng: random.Random, p: int) -> int:
+    return rng.choice((1, -1)) * rng.randrange(1, 61)
+
+
+def _sample(draws: tuple, hypothesis: Callable, rng: random.Random, p: int) -> dict | None:
+    """The first of up to SAMPLER_RETRIES tuples, drawn value by value in the
+    order of the (name, draw) pairs draws, that hypothesis(params, p) admits,
+    or None when none does."""
+    for _ in range(SAMPLER_RETRIES):
+        params = {}
+        for name, draw in draws:  # a loop, as a comprehension costs a frame per tuple
+            params[name] = draw(rng, p)
+        if hypothesis(params, p):
+            return params
+    return None
 
 
 def _sign_pow(e: int) -> int:
@@ -454,7 +478,8 @@ def cubic_roots(c3: int, c1: int, c0: int, p: int) -> set[int]:
     quadratic one is solved with sqrt_mod, and a cubic one is cut by
     gcd(g, (x + d)^((p-1)/2) - 1) for d = 0, 1, 2, ... (Cantor-Zassenhaus).
     c3 = 0 gives the linear or constant case; the zero polynomial has every
-    residue as a root.
+    residue as a root and is refused for p > TABLE_PRIME_LIMIT: at p = 1999993
+    that set peaks at 153 MB RSS, 134 MB above the bare import.
     """
     if p <= 3 or not is_prime(p):
         raise OutOfRangeError(f"need a prime p > 3, got {p}")
@@ -464,6 +489,8 @@ def cubic_roots(c3: int, c1: int, c0: int, p: int) -> set[int]:
     if c3 == 0:
         if c1:
             return {-c0 * inv_mod(c1, p) % p}
+        if c0 == 0 and p > TABLE_PRIME_LIMIT:
+            raise OutOfRangeError(f"the zero polynomial needs p <= {TABLE_PRIME_LIMIT}, got {p}")
         return set(range(p)) if c0 == 0 else set()
     inv = inv_mod(c3, p)
     A, B = c1 * inv % p, c0 * inv % p

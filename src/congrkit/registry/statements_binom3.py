@@ -20,16 +20,9 @@ from .engine import (
     Statement,
     cubic_roots,
     register,
-    rejection_sampler,
     row_check,
+    unit,
 )
-from .statements_binom4 import _draw_a_residue, _draw_pq
-
-
-# ------------------------------------------------ tuple draws and hypotheses
-
-def _draw_ab(rng, p):
-    return {"a": rng.randrange(1, p), "b": rng.randrange(1, p)}
 
 
 def _ab_units(t, p):
@@ -145,9 +138,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p > 3,
     check=_check_thm_3_1,
-    sampler=rejection_sampler(_draw_ab, _ab_units),
+    draw={"a": unit, "b": unit},
     hypothesis=_ab_units,
-    keys=("a", "b"),
 ))
 
 
@@ -191,9 +183,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p > 3,
     check=_check_lem_3_2,
-    sampler=rejection_sampler(_draw_pq, _pq_nondeg),
+    draw={"P": unit, "Q": unit},
     hypothesis=_pq_nondeg,
-    keys=("P", "Q"),
     notes="stated for p coprime to PQ; sampling also avoids p | P^2-4Q, where"
           " neither symbol row fires",
 ))
@@ -224,9 +215,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p > 3,
     check=_check_thm_3_3,
-    sampler=rejection_sampler(_draw_ab, _ab_split),
+    draw={"a": unit, "b": unit},
     hypothesis=_ab_split,
-    keys=("a", "b"),
     notes="stated for p coprime to ab; sampling also avoids p | 81b^2-12a, where"
           " neither symbol row fires",
 ))
@@ -378,9 +368,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p > 3,
     check=_check_thm_3_10,
-    sampler=rejection_sampler(_draw_a_residue, _a_cubic),
+    draw={"a": unit},
     hypothesis=_a_cubic,
-    keys=("a",),
 ))
 
 

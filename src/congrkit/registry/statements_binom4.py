@@ -3,8 +3,9 @@
 Each register() call pairs an applicability predicate with a check that
 evaluates the sum at one prime and looks up the matching right-hand row,
 mostly in a CaseTable on p mod M.  Parameterized statements state their
-tuple hypothesis once, as a predicate that both filters the seeded draws
-and guards explicit parameters.
+tuple once, as draw={name: draw(rng, p)} in draw order, which gives the
+parameter keys, and their hypothesis once, as a predicate that both filters
+the seeded draws and guards explicit parameters.
 """
 
 from __future__ import annotations
@@ -24,29 +25,15 @@ from .engine import (
     Statement,
     _sign_pow,
     register,
-    rejection_sampler,
     row_check,
+    small,
+    small_signed,
+    unit,
+    unit_not_one,
 )
 
 
-# ------------------------------------------------ tuple draws and hypotheses
-
-def _draw_pq(rng, p):
-    return {"P": rng.randrange(1, p), "Q": rng.randrange(1, p)}
-
-
-def _draw_a_residue(rng, p):
-    return {"a": rng.randrange(1, p)}
-
-
-def _draw_x(rng, p):
-    return {"x": rng.randrange(2, p)}
-
-
-def _draw_bm(rng, p):
-    return {"b": rng.choice((1, -1)) * rng.randrange(1, 61),
-            "m": rng.choice((1, -1)) * rng.randrange(1, 61)}
-
+# ------------------------------------------------ tuple hypotheses
 
 def _pq_units(t, p):
     return t["P"] * t["Q"] % p != 0
@@ -136,9 +123,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p % 4 == 1,
     check=_check_intro_1_2,
-    sampler=rejection_sampler(lambda rng, p: {"a": rng.randrange(1, 61)}, _a_16sq),
+    draw={"a": small},
     hypothesis=_a_16sq,
-    keys=("a",),
     notes="sampling also skips p | a: the underlying two-squares row needs p coprime to 8a",
 ))
 
@@ -197,9 +183,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p >= 3,
     check=_check_thm_2_1,
-    sampler=rejection_sampler(_draw_pq, _pq_units),
+    draw={"P": unit, "Q": unit},
     hypothesis=_pq_units,
-    keys=("P", "Q"),
 ))
 
 
@@ -220,9 +205,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p % 4 == 1,
     check=_check_thm_2_2_i,
-    sampler=rejection_sampler(_draw_x, _x_unit),
+    draw={"x": unit_not_one},
     hypothesis=_x_unit,
-    keys=("x",),
 ))
 
 
@@ -244,9 +228,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p % 4 == 3 and p > 3,
     check=_check_thm_2_2_ii,
-    sampler=rejection_sampler(_draw_x, _x_and_1_minus_x_units),
+    draw={"x": unit_not_one},
     hypothesis=_x_and_1_minus_x_units,
-    keys=("x",),
 ))
 
 
@@ -285,9 +268,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p >= 5,
     check=_check_thm_2_3,
-    sampler=rejection_sampler(_draw_pq, _pq_split),
+    draw={"P": unit, "Q": unit},
     hypothesis=_pq_split,
-    keys=("P", "Q"),
     notes="conditional vanishing rows; both hypotheses can fail, in which case the"
           " draw is vacuously true; no admissible pair exists at p = 3",
 ))
@@ -417,9 +399,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p >= 5,
     check=_check_thm_2_9,
-    sampler=rejection_sampler(_draw_a_residue, _a_16sq_minus),
+    draw={"a": unit},
     hypothesis=_a_16sq_minus,
-    keys=("a",),
     notes="no residue a survives the 16a^2 != 1 filter at p = 3",
 ))
 
@@ -504,9 +485,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p % 4 == 1,
     check=_check_thm_2_10,
-    sampler=rejection_sampler(_draw_bm, _bm_coprime),
+    draw={"b": small_signed, "m": small_signed},
     hypothesis=_bm_coprime,
-    keys=("b", "m"),
     notes="sampling also skips p | b, which the two even sub-rows implicitly need",
 ))
 
@@ -651,9 +631,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p >= 3,
     check=_check_thm_2_11,
-    sampler=rejection_sampler(_draw_bm, _bm_coprime),
+    draw={"b": small_signed, "m": small_signed},
     hypothesis=_bm_coprime,
-    keys=("b", "m"),
     notes="in the p ≡ 1 (mod 4), (b^2+4m^2|p) = -1 regime both displays vanish and"
           " the congruences leave the sign free; the quartic-symbol value is recorded",
 ))
@@ -685,10 +664,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p % 4 == 1,
     check=_check_thm_2_12,
-    sampler=rejection_sampler(
-        lambda rng, p: {"a": rng.choice((1, -1)) * rng.randrange(1, 61)}, _a_signed),
+    draw={"a": small_signed},
     hypothesis=_a_signed,
-    keys=("a",),
     notes="the exponent in the sum is a^(4k); the proof display writes a^(2k) but"
           " its own substitution and direct evaluation both give a^(4k)",
 ))
@@ -783,9 +760,8 @@ register(Statement(
     status="verified",
     applies=lambda p: p >= 5,
     check=_check_lem_2_5,
-    sampler=rejection_sampler(_draw_pq, _pq_split),
+    draw={"P": unit, "Q": unit},
     hypothesis=_pq_split,
-    keys=("P", "Q"),
     notes="stated for all admissible P, Q; checked on seeded samples because the"
           " pair space is quadratic in p; either square root of Q gives the same"
           " rows, so the canonical one is used; no admissible pair exists at p = 3",

@@ -169,6 +169,9 @@ _ABOVE_LIMIT = next(q for q in range(TABLE_PRIME_LIMIT + 1, TABLE_PRIME_LIMIT + 
                  id="represent-prime-above-trial-division"),
     pytest.param(["compute", "symbol", "--kind", "cubic", "--top", "2,1",
                   "--bottom", "1000000016000000063"], id="cubic-bottom-above-trial-division"),
+    # a non-reduced form of D = -3 whose y window is about 1.15e12 wide
+    pytest.param(["represent", "--form", "1000001000001,2000001,1", "--prime", "999999999989"],
+                 id="represent-window-above-limit"),
     # above modarith.SIEVE_LIMIT, where the sieve would ask for terabytes
     pytest.param(["primes", "--limit", "10000000000000"], id="primes-above-sieve-limit"),
 ])

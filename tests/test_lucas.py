@@ -49,6 +49,19 @@ def test_uv_mod_rejects_negative_index():
         uv_mod(1, -1, -5, 101)
 
 
+@pytest.mark.parametrize("m", [4, 2, 0, 1, -7])
+def test_uv_mod_rejects_even_or_small_modulus(m):
+    # the index doubling halves mod m, so m must be odd: (U_7, V_7) = (13, 29) is (1, 1) mod 4
+    with pytest.raises(OutOfRangeError, match="modulus"):
+        uv_mod(1, -1, 7, m)
+
+
+def test_uv_mod_odd_composite_modulus():
+    u, v = lucas_uv_exact(3, 1, 20)
+    for m in (9, 15, 21):
+        assert uv_mod(3, 1, 20, m) == (u % m, v % m)
+
+
 def test_exact_rejects_negative_index():
     with pytest.raises(OutOfRangeError):
         lucas_uv_exact(1, -1, -1)

@@ -168,9 +168,11 @@ def test_declared_keys_are_the_drawn_keys():
     assert len(sampled) == 14
     for stmt in sampled:
         drawn = stmt.sampler(random.Random(0), 101)
-        assert tuple(drawn) == stmt.keys, stmt.id
-        with pytest.raises(ValueError, match="go together"):
-            register(replace(stmt, id="copy", keys=()))
+        assert tuple(drawn) == stmt.keys == tuple(stmt.draw), stmt.id
+        declared = replace(stmt, id="copy", sampler=None)
+        for bad in (replace(declared, draw=None), replace(declared, hypothesis=None), stmt):
+            with pytest.raises(ValueError, match="go together"):
+                register(replace(bad, id="copy"))
     assert "copy" not in REGISTRY
 
 
@@ -366,6 +368,15 @@ def test_cubic_roots_examples():
     for p in (9, 25, 35, 10001):
         with pytest.raises(OutOfRangeError, match="prime"):
             cubic_roots(1, 0, -1, p)
+
+
+def test_cubic_roots_refuses_the_zero_polynomial_above_the_table_limit():
+    assert cubic_roots(0, 0, 0, 101) == set(range(101))
+    assert cubic_roots(101, -202, 0, 101) == set(range(101))
+    # refused before the set of all _ABOVE_LIMIT residues is built
+    with pytest.raises(OutOfRangeError, match="zero polynomial"):
+        cubic_roots(0, 0, 0, _ABOVE_LIMIT)
+    assert cubic_roots(0, 0, 5, _ABOVE_LIMIT) == set()
 
 
 def test_delta_p_cross_derivation_small():
