@@ -1,19 +1,28 @@
 """Binomial coefficients mod p and truncated sums sum_k C(ak, bk) m^k.
 
 Sums of this shape with upper limit about p/a are the left-hand sides of
-most statements in the registry.  Per prime we build factorial tables once,
-so each C(ak, bk) costs two multiplications.  A whole sum is a Horner pass
-run on packed integer lanes: the diagonal C(ak, bk), k = 0..upper, is cut
-into chunks of J ~ sqrt(upper) terms, each chunk packed into one Python int
-with a 72-bit lane per term, so one big-integer multiply advances J Horner
-passes at once (word-parallel arithmetic, Knuth TAOCP 4A, 7.1.3).
+most statements in the registry.  They are evaluated in one of two ways.
+
+ModTables builds factorial tables for one prime, so each C(ak, bk) costs
+two multiplications.  A whole sum is a Horner pass run on packed integer
+lanes: the diagonal C(ak, bk), k = 0..upper, is cut into chunks of
+J ~ sqrt(upper) terms, each chunk packed into one Python int with a 72-bit
+lane per term, so one big-integer multiply advances J Horner passes at once
+(word-parallel arithmetic, Knuth TAOCP 4A, 7.1.3).  Any m works, but the
+O(p) tables and the diagonal are paid again at every prime.
+
+PrefixSums keeps, per fixed ratio num/den, the exact integer prefix sum and
+extends it from one prime to the next, so a sweep over ascending primes
+pays each term once for all of them.  It pays only for a ratio that recurs
+at every prime; a ratio drawn afresh at each prime would add a key per
+prime, each costing O(K^2) bit operations, so such sums stay on the tables.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from math import isqrt
+from math import gcd, isqrt, prod
 from operator import mod, mul, sub
 from struct import Struct
 
@@ -87,6 +96,16 @@ def _strided(table: list[int], step: int, n: int):
     return table[:step * n:step] if step else repeat(table[0], n)
 
 
+def check_diag(a: int, b: int, upper: int, p: int) -> None:
+    """Refuse the diagonal C(ak, bk), k = 0..upper, mod p unless
+    0 <= b <= a and a * upper < p, where every term is a binomial of
+    numbers below p."""
+    if not 0 <= b <= a:
+        raise OutOfRangeError(f"diagonal needs 0 <= b <= a, got a = {a}, b = {b}")
+    if a * upper >= p:
+        raise OutOfRangeError(f"a*upper = {a * upper} reaches the modulus {p}")
+
+
 class ModTables:
     """Factorial and inverse-factorial tables for one odd prime."""
 
@@ -141,12 +160,7 @@ class ModTables:
     def diag(self, a: int, b: int, upper: int) -> list[int]:
         """[C(a k, b k) mod p for k = 0..upper]; requires 0 <= b <= a and
         a * upper < p."""
-        if not 0 <= b <= a:
-            raise OutOfRangeError(f"diagonal needs 0 <= b <= a, got a = {a}, b = {b}")
-        if a * upper >= self.p:
-            raise OutOfRangeError(
-                f"a*upper = {a * upper} reaches the modulus {self.p}"
-            )
+        check_diag(a, b, upper, self.p)
         n = max(upper + 1, 0)
         return list(map(mod, map(mul, map(mul, _strided(self.fact, a, n),
                                           _strided(self.inv_fact, b, n)),
@@ -162,6 +176,57 @@ class ModTables:
             width = max(isqrt(len(seq)), 1)
             packed = self._packed[key] = (width, pack_lanes(seq, width))
         return eval_packed(packed[1], packed[0], m, self.p)
+
+
+class PrefixSums:
+    """Exact prefix sums of sum_k C(ak, bk) (num/den)^k, shared across primes.
+
+    Each key (a, b, num, den) holds K and two exact integers,
+        t_K = C(aK, bK) num^K  and  N_K = sum_{k<=K} C(ak, bk) num^k den^(K-k),
+    so the sum to K mod a prime p not dividing den is N_K den^-K mod p.  A
+    request past K advances them by the term ratio,
+        t_{k+1} = t_k num prod_{i=1..a}(ak+i)
+                  / (prod_{i=1..b}(bk+i) prod_{i=1..a-b}((a-b)k+i)),
+        N_{k+1} = den N_k + t_{k+1},
+    the division being exact, so requests at ascending primes share every
+    step.  A request below K restarts its key from K = 0 and counts in
+    restarts.  A key keeps three integers, N_K of O(K (a + log|num den|))
+    bits, and no per-term list.
+    """
+
+    __slots__ = ("_state", "restarts")
+
+    def __init__(self):
+        # (a, b, num, den) -> (K, t_K, N_K)
+        self._state: dict[tuple[int, int, int, int], tuple[int, int, int]] = {}
+        self.restarts = 0
+
+    def keys(self) -> list[tuple[int, int, int, int]]:
+        return list(self._state)
+
+    def sum_mod(self, a: int, b: int, num: int, den: int, upper: int, p: int) -> int:
+        """sum_{k<=upper} C(ak, bk) (num/den)^k mod the odd prime p, refused
+        where ModTables refuses it."""
+        check_diag(a, b, upper, p)
+        scale = inv_mod(den, p)
+        if upper < 0:
+            return 0
+        key = (a, b, num, den)
+        state = self._state.get(key)
+        if state is None or state[0] > upper:
+            self.restarts += state is not None
+            state = (0, 1, 1)
+        k, t, n = state
+        c = a - b
+        while k < upper:
+            up = prod(range(a * k + 1, a * k + a + 1))
+            down = prod(range(b * k + 1, b * k + b + 1)) * prod(range(c * k + 1, c * k + c + 1))
+            g = gcd(up, down)  # smaller factors keep the big-integer steps short
+            t = t * (num * (up // g)) // (down // g)
+            n = n * den + t
+            k += 1
+        self._state[key] = (k, t, n)
+        return n % p * pow(scale, upper, p) % p
 
 
 @lru_cache(maxsize=8)

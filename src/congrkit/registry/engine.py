@@ -21,7 +21,7 @@ from math import gcd
 from multiprocessing import get_context
 from typing import Any, Callable
 
-from ..binomsum import TABLE_PRIME_LIMIT, ModTables, mod_tables
+from ..binomsum import TABLE_PRIME_LIMIT, ModTables, PrefixSums, mod_tables
 from ..errors import (
     InvalidParametersError,
     OutOfRangeError,
@@ -44,9 +44,16 @@ class Ctx:
     """Caches shared by every statement checked at one odd prime
     p <= TABLE_PRIME_LIMIT; any other p is refused here.  The factorial
     tables are built on the first read of ctx.tables, so a prime where no
-    check reads them never builds them."""
+    check reads them never builds them.
 
-    __slots__ = ("p", "_tables", "_uv", "_two_sq")
+    sum_binom reads the sweep's exact PrefixSums while `prefix` is set, which
+    a sweep from the first prime does only for a statement without a
+    sampler: its ratios are fixed, so each key is extended from prime to
+    prime.  Every other sum, a sampled one, one in a pool chunk starting
+    higher or one from check_statement, comes from the prime's tables.
+    """
+
+    __slots__ = ("p", "_tables", "_uv", "_two_sq", "prefix")
 
     def __init__(self, p: int):
         if not 3 <= p <= TABLE_PRIME_LIMIT or p % 2 == 0 or not is_prime(p):
@@ -56,6 +63,7 @@ class Ctx:
         self._tables: ModTables | None = None
         self._uv: dict[tuple[int, int, int], tuple[int, int]] = {}
         self._two_sq: tuple[int, int] | None = None
+        self.prefix: PrefixSums | None = None
 
     @property
     def tables(self) -> ModTables:
@@ -84,8 +92,9 @@ class Ctx:
         """sum of C(a k, b k) (num/den)^k for k = 0..upper, default [p/a]."""
         if upper is None:
             upper = self.p // a
-        t = num % self.p * self.inv(den) % self.p
-        return self.tables.sum_diag_pow(a, b, t, upper)
+        if self.prefix is not None:
+            return self.prefix.sum_mod(a, b, num, den, upper, self.p)
+        return self.tables.sum_diag_pow(a, b, self.fr(num, den), upper)
 
     def uv(self, P: int, Q: int, n: int) -> tuple[int, int]:
         key = (P % self.p, Q % self.p, n)
@@ -394,18 +403,28 @@ def _tally(report: Report, v: Verdict) -> None:
 
 
 def _sweep(args: tuple) -> dict[str, Report]:
-    """Each id's Report over a run of primes, tallied one verdict at a time;
-    with fail_fast an id stops at its first failure."""
+    """Each id's Report over an ascending run of primes, tallied one verdict
+    at a time; with fail_fast an id stops at its first failure.
+
+    A run from the sweep's first prime, 3, takes the sums of statements
+    without a sampler from one PrefixSums; drawn ratios never recur, so
+    sampled sums stay on the tables.  A pool chunk starting higher sums on
+    the tables too: a store there would first replay every term below its
+    first prime, O(K^2) bit operations per key, and where sampled checks
+    build the tables anyway that costs more than the chunk's primes save."""
     ids, primes, prime_limit, seed, fail_fast = args
     reports = {sid: Report(sid, prime_limit, 0, 0, 0, 0, [], REGISTRY[sid].status)
                for sid in ids}
     live = list(ids)
+    prefix = PrefixSums() if primes[0] == 3 else None
     for p in primes:
         if not live:
             break
         ctx = Ctx(p)
         for sid in live:
-            _tally(reports[sid], _verdict(REGISTRY[sid], ctx, seed))
+            stmt = REGISTRY[sid]
+            ctx.prefix = prefix if stmt.sampler is None else None
+            _tally(reports[sid], _verdict(stmt, ctx, seed))
         if fail_fast:
             live = [sid for sid in live if not reports[sid].failed]
     return reports

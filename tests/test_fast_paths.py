@@ -4,8 +4,9 @@
 residue.  `intro-zps` sums C(3k,k) 2^k as two diagonal runs cut out by
 Lucas's theorem; the oracle reads all p - 1 terms through base-p digits.
 `sum_diag_pow` runs Horner on packed integer lanes; the oracle is the scalar
-Horner loop.  The shift lemmas read the factorial tables directly; a
-corrupted table entry must make them fail.  `ModTables` takes 1/k! from
+Horner loop.  `PrefixSums` extends exact prefix sums from prime to prime;
+its oracle is `sum_diag_pow` on the tables.  The shift lemmas read the
+factorial tables directly; a corrupted table entry must make them fail.  `ModTables` takes 1/k! from
 (p-1-k)! by Wilson's reflection; the oracle is the two-loop build, k! by a
 forward loop and 1/k! by a backward loop down from 1/(p-1)!.
 `classify_by_class` reduces the one form [p, b, (b^2 - D)/4p]; the oracle
@@ -22,12 +23,13 @@ from congrkit import binomsum
 from congrkit.binomsum import (
     TABLE_PRIME_LIMIT,
     ModTables,
+    PrefixSums,
     binom_shift_lemma_check,
     eval_packed,
     mod_tables,
     pack_lanes,
 )
-from congrkit.errors import NoneRepresentsError, OutOfRangeError
+from congrkit.errors import NoneRepresentsError, OutOfRangeError, ZeroInverseError
 from congrkit.modarith import inv_mod, is_prime, sieve_primes
 from congrkit.qform import QuadForm, class_group, class_key, classify_by_class, reduce, represent
 from congrkit.registry import Ctx, cubic_roots
@@ -184,6 +186,78 @@ def test_sum_diag_pow_matches_horner_on_the_registry_diagonals():
                 for m in ms:
                     assert t.sum_diag_pow(a, b, m, upper) == horner(diag[:upper + 1], m, p), \
                         (p, a, b, m, upper)
+
+
+def test_prefix_sums_match_the_tables_on_the_registry_keys(parameter_free_sum_keys):
+    store = PrefixSums()
+    for p in sieve_primes(3000)[2:]:
+        t = ModTables(p)
+        for a, b, num, den in parameter_free_sum_keys:
+            m = num * inv_mod(den, p) % p
+            assert store.sum_mod(a, b, num, den, p // a, p) == t.sum_diag_pow(a, b, m, p // a), \
+                (p, a, b, num, den)
+    assert sorted(store.keys()) == sorted(parameter_free_sum_keys)
+    assert store.restarts == 0
+
+
+def test_prefix_sums_match_the_tables_on_random_keys():
+    rng = random.Random(15)
+    primes = [p for p in sieve_primes(20_000) if p > 13]  # above every a
+    for _ in range(40):
+        a = rng.randrange(1, 13)
+        b = rng.choice((0, a, rng.randrange(a + 1)))
+        num = rng.choice((0, -1, rng.randrange(-500, 501)))
+        den = rng.choice((1, -rng.randrange(1, 500), rng.randrange(1, 5000)))
+        store = PrefixSums()
+        for p in sorted(rng.sample(primes, 4)):
+            if den % p == 0:
+                continue
+            m = num * inv_mod(den, p) % p
+            upper = (p - 1) // a  # [p/a] but at a = 1
+            want = mod_tables(p).sum_diag_pow(a, b, m, upper)
+            assert store.sum_mod(a, b, num, den, upper, p) == want, (p, a, b, num, den)
+        assert store.restarts == 0
+
+
+def test_a_request_below_k_restarts_the_key():
+    p = 1009
+    t = mod_tables(p)
+    m = -inv_mod(16, p) % p
+    store = PrefixSums()
+    for restarts, upper in ((0, p // 4), (1, 10), (1, 10), (1, 11), (2, 0), (2, -1)):
+        want = t.sum_diag_pow(4, 2, m, upper) if upper >= 0 else 0
+        assert store.sum_mod(4, 2, -1, 16, upper, p) == want, upper
+        assert store.restarts == restarts, upper
+
+
+@pytest.mark.parametrize("a, b, den, upper, error", [
+    (3, 4, 1, 10, OutOfRangeError),
+    (3, -1, 1, 10, OutOfRangeError),
+    (3, 1, 1, 34, OutOfRangeError),  # 3 * 34 reaches 101
+    (3, 1, 202, 10, ZeroInverseError),
+])
+def test_prefix_sums_refuse_what_the_tables_refuse(a, b, den, upper, error):
+    ctx = Ctx(101)
+    with pytest.raises(error):
+        ctx.sum_binom(a, b, 1, den, upper)
+    ctx.prefix = PrefixSums()
+    with pytest.raises(error):
+        ctx.sum_binom(a, b, 1, den, upper)
+    assert ctx.prefix.keys() == []
+
+
+def test_both_sum_paths_share_one_diagonal_check(monkeypatch):
+    class Refused(Exception):
+        pass
+
+    def refuse(a, b, upper, p):
+        raise Refused
+
+    monkeypatch.setattr(binomsum, "check_diag", refuse)
+    with pytest.raises(Refused):
+        ModTables(101).sum_diag_pow(3, 1, 1, 10)
+    with pytest.raises(Refused):
+        PrefixSums().sum_mod(3, 1, 1, 1, 10, 101)
 
 
 def test_packed_lanes_at_the_largest_table_prime():

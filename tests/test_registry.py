@@ -97,11 +97,42 @@ def _count_table_builds(monkeypatch) -> list[int]:
 
 def test_tables_are_built_only_where_a_check_reads_them(monkeypatch):
     built = _count_table_builds(monkeypatch)
+    # a sweep sums a statement without a sampler from its PrefixSums
     report = verify_many(["thm-3.8"], 2000)[0]
-    applies = engine.REGISTRY["thm-3.8"].applies
+    assert built == []
+    assert report.checked > 0 and report.not_applicable > 0
+    # sampled sums read the tables at each applicable prime
+    report = verify_many(["thm-3.10"], 2000)[0]
+    applies = engine.REGISTRY["thm-3.10"].applies
     assert built == [p for p in range(3, 2000) if is_prime(p) and applies(p)]
     assert len(built) == report.checked > 0
     assert report.not_applicable > 0
+    # check_statement reads the tables whatever the statement
+    built.clear()
+    assert check_statement("thm-3.8", 1987).outcome == "Pass"
+    assert built == [1987]
+    # and so does a pool chunk that starts above the first prime
+    built.clear()
+    chunk = [q for q in range(1000, 2000) if is_prime(q)]
+    report = engine._sweep((["thm-3.8"], chunk, 2000, 0, False))["thm-3.8"]
+    assert built == [q for q in chunk if engine.REGISTRY["thm-3.8"].applies(q)]
+    assert len(built) == report.checked > 0
+
+
+def test_the_sweep_store_holds_only_the_parameter_free_keys(monkeypatch, parameter_free_sum_keys):
+    # a drawn (num, den) reaching the store would add a key at every prime
+    stores = []
+
+    class Recording(engine.PrefixSums):
+        def __init__(self):
+            super().__init__()
+            stores.append(self)
+
+    monkeypatch.setattr(engine, "PrefixSums", Recording)
+    verify_many(registered_ids(), 2000)
+    (store,) = stores
+    assert sorted(store.keys()) == sorted(parameter_free_sum_keys)
+    assert store.restarts == 0
 
 
 def test_a_shared_ctx_builds_its_tables_at_most_once(monkeypatch):
