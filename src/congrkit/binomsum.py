@@ -1,15 +1,23 @@
 """Binomial coefficients mod p and truncated sums sum_k C(ak, bk) m^k.
 
 Sums of this shape with upper limit about p/a are the left-hand sides of
-most statements in the registry.  They are evaluated in one of two ways.
+most statements in the registry.  They are evaluated in one of three ways.
+
+lucas_sum takes the sums of C(4k, 2k) and C(3k, k) to the default upper
+limit n = [p/a] in O(log p) steps.  Lemmas 2.2 and 3.1 of the paper give
+C(ak, bk) = s^k C(n+k, 2k) mod p for k <= n, with s = -64 and -27, so the
+sum is the Morgan-Voyce value b_n(s m) = U_{n+1}(sm+2, 1) - U_n(sm+2, 1),
+one uv_mod call.  The lemmas are proved once at import, for every odd
+prime not dividing a, from the term ratios of both sides.
 
 ModTables builds factorial tables for one prime, so each C(ak, bk) costs
 two multiplications.  A whole sum is a Horner pass run on packed integer
 lanes: the diagonal C(ak, bk), k = 0..upper, is cut into chunks of
 J ~ sqrt(upper) terms, each chunk packed into one Python int with a 72-bit
 lane per term, so one big-integer multiply advances J Horner passes at once
-(word-parallel arithmetic, Knuth TAOCP 4A, 7.1.3).  Any m works, but the
-O(p) tables and the diagonal are paid again at every prime.
+(word-parallel arithmetic, Knuth TAOCP 4A, 7.1.3).  Any diagonal, m and
+upper limit works, but the O(p) tables and the diagonal are paid again at
+every prime.
 
 PrefixSums keeps, per fixed ratio num/den, the exact integer prefix sum and
 extends it from one prime to the next, so a sweep over ascending primes
@@ -20,6 +28,7 @@ prime, each costing O(K^2) bit operations, so such sums stay on the tables.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, isqrt, prod
@@ -27,6 +36,7 @@ from operator import mod, mul, sub
 from struct import Struct
 
 from .errors import OutOfRangeError
+from .lucas import uv_mod
 from .modarith import inv_mod
 
 # Largest prime ModTables accepts.  Its two size-p tables take about 64 MB
@@ -104,6 +114,51 @@ def check_diag(a: int, b: int, upper: int, p: int) -> None:
         raise OutOfRangeError(f"diagonal needs 0 <= b <= a, got a = {a}, b = {b}")
     if a * upper >= p:
         raise OutOfRangeError(f"a*upper = {a * upper} reaches the modulus {p}")
+
+
+# (a, b) -> s with C(ak, bk) = s^k C(n+k, 2k) mod p for k <= n = [p/a]:
+# lemmas 2.2 and 3.1, proved by _prove_lucas_scales below
+LUCAS_SCALES = {(4, 2): -64, (3, 1): -27}
+
+
+def _prove_lucas_scales() -> None:
+    """Raise ImportError unless, for each (a, b): s and each unit r mod a,
+    n = -r/a makes the term ratio of C(ak, bk) that of s^k C(n+k, 2k):
+
+        prod_{i<=a}(ak+i) / (prod_{i<=b}(bk+i) prod_{i<=a-b}((a-b)k+i))
+            = s (n+k+1)(n-k) / ((2k+1)(2k+2)).
+
+    Cleared of denominators, both sides are polynomials in k of degree
+    a + 2, so a + 3 points decide it.  At an odd prime p not dividing a,
+    with r = p mod a, the integer n = [p/a] is -r/a mod p, and for k < n
+    every denominator is a unit mod p; from k = 0, where both terms are 1,
+    the terms agree mod p up to k = n."""
+    for (a, b), s in LUCAS_SCALES.items():
+        c = a - b
+        for r in range(1, a):
+            if gcd(r, a) != 1:
+                continue
+            n = Fraction(-r, a)
+            for k in range(a + 3):
+                up = prod(range(a * k + 1, a * k + a + 1)) * (2 * k + 1) * (2 * k + 2)
+                down = prod(range(b * k + 1, b * k + b + 1)) * prod(range(c * k + 1, c * k + c + 1))
+                if up != s * (n + k + 1) * (n - k) * down:
+                    raise ImportError(
+                        f"C({a}k, {b}k) is not ({s})^k C(n+k, 2k) at n = {n}, k = {k}")
+
+
+_prove_lucas_scales()
+
+
+def lucas_sum(a: int, b: int, m: int, p: int) -> int:
+    """sum_{k<=[p/a]} C(ak, bk) m^k mod the odd prime p, for (a, b) in
+    LUCAS_SCALES and m a residue; refused where ModTables refuses it."""
+    n = p // a
+    check_diag(a, b, n, p)
+    P = (LUCAS_SCALES[a, b] * m + 2) % p
+    u, v = uv_mod(P, 1, n, p)
+    # b_n(sm) = U_{n+1} - U_n, with U_{n+1} = (P U_n + V_n) / 2
+    return ((P * u + v) * ((p + 1) // 2) - u) % p
 
 
 class ModTables:

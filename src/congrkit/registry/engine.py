@@ -21,7 +21,7 @@ from math import gcd
 from multiprocessing import get_context
 from typing import Any, Callable
 
-from ..binomsum import TABLE_PRIME_LIMIT, ModTables, PrefixSums, mod_tables
+from ..binomsum import LUCAS_SCALES, TABLE_PRIME_LIMIT, ModTables, PrefixSums, lucas_sum, mod_tables
 from ..errors import (
     InvalidParametersError,
     OutOfRangeError,
@@ -46,11 +46,13 @@ class Ctx:
     tables are built on the first read of ctx.tables, so a prime where no
     check reads them never builds them.
 
-    sum_binom reads the sweep's exact PrefixSums while `prefix` is set, which
-    a sweep from the first prime does only for a statement without a
-    sampler: its ratios are fixed, so each key is extended from prime to
-    prime.  Every other sum, a sampled one, one in a pool chunk starting
-    higher or one from check_statement, comes from the prime's tables.
+    sum_binom takes every sum of C(4k, 2k) or C(3k, k) to the default upper
+    limit from lucas_sum, whatever the caller.  Any other sum reads the
+    sweep's exact PrefixSums while `prefix` is set, which a sweep from the
+    first prime does only for a statement without a sampler: its ratios are
+    fixed, so each key is extended from prime to prime.  The rest, a sampled
+    sum, one to another upper limit, one in a pool chunk starting higher or
+    one from check_statement, comes from the prime's tables.
     """
 
     __slots__ = ("p", "_tables", "_uv", "_two_sq", "prefix")
@@ -91,6 +93,8 @@ class Ctx:
     ) -> int:
         """sum of C(a k, b k) (num/den)^k for k = 0..upper, default [p/a]."""
         if upper is None:
+            if (a, b) in LUCAS_SCALES:
+                return lucas_sum(a, b, self.fr(num, den), self.p)
             upper = self.p // a
         if self.prefix is not None:
             return self.prefix.sum_mod(a, b, num, den, upper, self.p)
@@ -406,12 +410,14 @@ def _sweep(args: tuple) -> dict[str, Report]:
     """Each id's Report over an ascending run of primes, tallied one verdict
     at a time; with fail_fast an id stops at its first failure.
 
-    A run from the sweep's first prime, 3, takes the sums of statements
-    without a sampler from one PrefixSums; drawn ratios never recur, so
-    sampled sums stay on the tables.  A pool chunk starting higher sums on
-    the tables too: a store there would first replay every term below its
-    first prime, O(K^2) bit operations per key, and where sampled checks
-    build the tables anyway that costs more than the chunk's primes save."""
+    Sums of C(4k, 2k) and C(3k, k) to [p/a] come from lucas_sum wherever
+    they run.  Of the other sums, a run from the sweep's first prime, 3,
+    takes those of statements without a sampler from one PrefixSums; drawn
+    ratios never recur, so sampled sums stay on the tables.  A pool chunk
+    starting higher sums on the tables too: a store there would first replay
+    every term below its first prime, O(K^2) bit operations per key, and
+    where sampled checks build the tables anyway that costs more than the
+    chunk's primes save."""
     ids, primes, prime_limit, seed, fail_fast = args
     reports = {sid: Report(sid, prime_limit, 0, 0, 0, 0, [], REGISTRY[sid].status)
                for sid in ids}

@@ -4,11 +4,13 @@
 residue.  `intro-zps` sums C(3k,k) 2^k as two diagonal runs cut out by
 Lucas's theorem; the oracle reads all p - 1 terms through base-p digits.
 `sum_diag_pow` runs Horner on packed integer lanes; the oracle is the scalar
-Horner loop.  `PrefixSums` extends exact prefix sums from prime to prime;
-its oracle is `sum_diag_pow` on the tables.  The shift lemmas read the
-factorial tables directly; a corrupted table entry must make them fail.  `ModTables` takes 1/k! from
-(p-1-k)! by Wilson's reflection; the oracle is the two-loop build, k! by a
-forward loop and 1/k! by a backward loop down from 1/(p-1)!.
+Horner loop.  `PrefixSums` extends exact prefix sums from prime to prime,
+and `lucas_sum` takes the sums of C(4k, 2k) and C(3k, k) from one Lucas
+pair; the oracle of both is `sum_diag_pow` on the tables.  The shift
+lemmas read the factorial tables directly; a corrupted table entry must
+make them fail.  `ModTables` takes 1/k! from (p-1-k)! by Wilson's
+reflection; the oracle is the two-loop build, k! by a forward loop and 1/k!
+by a backward loop down from 1/(p-1)!.
 `classify_by_class` reduces the one form [p, b, (b^2 - D)/4p]; the oracle
 runs `represent` on every class of the target list.
 """
@@ -21,11 +23,13 @@ import pytest
 
 from congrkit import binomsum
 from congrkit.binomsum import (
+    LUCAS_SCALES,
     TABLE_PRIME_LIMIT,
     ModTables,
     PrefixSums,
     binom_shift_lemma_check,
     eval_packed,
+    lucas_sum,
     mod_tables,
     pack_lanes,
 )
@@ -188,6 +192,19 @@ def test_sum_diag_pow_matches_horner_on_the_registry_diagonals():
                         (p, a, b, m, upper)
 
 
+def test_lucas_sums_match_the_tables():
+    assert sorted(LUCAS_SCALES) == [(3, 1), (4, 2)]
+    rng = random.Random(16)
+    big = [q for q in range(100_000, 100_170) if is_prime(q)]
+    assert len(big) == 12
+    largest = next(q for q in range(TABLE_PRIME_LIMIT, 0, -1) if is_prime(q))
+    for p in sieve_primes(3000)[2:] + big + [largest]:
+        t = ModTables(p)  # not mod_tables: its cache would keep the largest
+        for m in (0, 1, p - 1, rng.randrange(p), rng.randrange(p)):
+            for a, b in LUCAS_SCALES:
+                assert lucas_sum(a, b, m, p) == t.sum_diag_pow(a, b, m, p // a), (p, a, b, m)
+
+
 def test_prefix_sums_match_the_tables_on_the_registry_keys(parameter_free_sum_keys):
     store = PrefixSums()
     for p in sieve_primes(3000)[2:]:
@@ -247,6 +264,16 @@ def test_prefix_sums_refuse_what_the_tables_refuse(a, b, den, upper, error):
 
 
 def test_both_sum_paths_share_one_diagonal_check(monkeypatch):
+    # the Lucas path refuses what the tables, read through an explicit upper
+    # limit, refuse: 3 * [3/3] reaching p = 3, and p | den
+    for p, a, b, den, error in ((3, 3, 1, 1, OutOfRangeError), (101, 4, 2, 202, ZeroInverseError),
+                                (101, 3, 1, -101, ZeroInverseError)):
+        ctx = Ctx(p)
+        with pytest.raises(error):
+            ctx.sum_binom(a, b, 1, den, p // a)
+        with pytest.raises(error):
+            ctx.sum_binom(a, b, 1, den)
+
     class Refused(Exception):
         pass
 
@@ -258,6 +285,8 @@ def test_both_sum_paths_share_one_diagonal_check(monkeypatch):
         ModTables(101).sum_diag_pow(3, 1, 1, 10)
     with pytest.raises(Refused):
         PrefixSums().sum_mod(3, 1, 1, 1, 10, 101)
+    with pytest.raises(Refused):
+        lucas_sum(3, 1, 1, 101)
 
 
 def test_packed_lanes_at_the_largest_table_prime():
@@ -277,6 +306,20 @@ def test_a_table_limit_past_the_lane_bound_fails_at_import():
     assert "\nTABLE_PRIME_LIMIT = 2_000_000\n" in source
     source = source.replace("\nTABLE_PRIME_LIMIT = 2_000_000\n", f"\nTABLE_PRIME_LIMIT = {2**21}\n")
     with pytest.raises(ImportError, match="at most 21 bits"):
+        exec(compile(source, binomsum.__file__, "exec"),
+             {"__name__": "congrkit.binomsum", "__package__": "congrkit"})
+
+
+@pytest.mark.parametrize("scales, error", [
+    ("{(4, 2): -63, (3, 1): -27}", r"C\(4k, 2k\) is not \(-63\)\^k"),  # a wrong scale
+    ("{(4, 2): -64, (3, 1): -27, (8, 4): -4096}", r"C\(8k, 4k\)"),  # no such reduction
+])
+def test_a_lucas_scale_that_fails_its_proof_fails_at_import(scales, error):
+    source = inspect.getsource(binomsum)
+    line = "\nLUCAS_SCALES = {(4, 2): -64, (3, 1): -27}\n"
+    assert line in source
+    source = source.replace(line, f"\nLUCAS_SCALES = {scales}\n")
+    with pytest.raises(ImportError, match=error):
         exec(compile(source, binomsum.__file__, "exec"),
              {"__name__": "congrkit.binomsum", "__package__": "congrkit"})
 

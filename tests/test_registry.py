@@ -97,30 +97,43 @@ def _count_table_builds(monkeypatch) -> list[int]:
 
 def test_tables_are_built_only_where_a_check_reads_them(monkeypatch):
     built = _count_table_builds(monkeypatch)
-    # a sweep sums a statement without a sampler from its PrefixSums
-    report = verify_many(["thm-3.8"], 2000)[0]
-    assert built == []
-    assert report.checked > 0 and report.not_applicable > 0
-    # sampled sums read the tables at each applicable prime
-    report = verify_many(["thm-3.10"], 2000)[0]
-    applies = engine.REGISTRY["thm-3.10"].applies
-    assert built == [p for p in range(3, 2000) if is_prime(p) and applies(p)]
-    assert len(built) == report.checked > 0
-    assert report.not_applicable > 0
-    # check_statement reads the tables whatever the statement
-    built.clear()
-    assert check_statement("thm-3.8", 1987).outcome == "Pass"
-    assert built == [1987]
-    # and so does a pool chunk that starts above the first prime
-    built.clear()
+    # thm-3.8 (no sampler) and thm-3.10 (sampled) sum only C(4k, 2k) or
+    # C(3k, k) to [p/a], which lucas_sum takes without tables: in a serial
+    # sweep, in a pool chunk that starts above the first prime and through
+    # check_statement alike
     chunk = [q for q in range(1000, 2000) if is_prime(q)]
-    report = engine._sweep((["thm-3.8"], chunk, 2000, 0, False))["thm-3.8"]
-    assert built == [q for q in chunk if engine.REGISTRY["thm-3.8"].applies(q)]
+    for sid in ("thm-3.8", "thm-3.10"):
+        report = verify_many([sid], 2000)[0]
+        assert report.checked > 0 and report.not_applicable > 0
+        report = engine._sweep(([sid], chunk, 2000, 0, False))[sid]
+        assert report.checked > 0
+        assert check_statement(sid, 1987).outcome == "Pass"
+    assert built == []
+    # thm-4.1 (no sampler) sums C(6k, 3k): a serial sweep takes it from its
+    # PrefixSums, while check_statement and a pool chunk that starts above
+    # the first prime read the tables
+    report = verify_many(["thm-4.1"], 2000)[0]
+    assert built == []
+    assert report.checked > 0
+    assert check_statement("thm-4.1", 1987).outcome == "Pass"
+    assert built == [1987]
+    built.clear()
+    report = engine._sweep((["thm-4.1"], chunk, 2000, 0, False))["thm-4.1"]
+    assert built == [q for q in chunk if engine.REGISTRY["thm-4.1"].applies(q)]
     assert len(built) == report.checked > 0
+    # sampled sums on another diagonal read the tables at each prime where a
+    # check runs; at p = 5 no drawn a is admissible, so nothing is checked
+    built.clear()
+    report = verify_many(["thm-2.12"], 2000)[0]
+    applies = engine.REGISTRY["thm-2.12"].applies
+    assert built == [p for p in range(7, 2000) if is_prime(p) and applies(p)]
+    assert len(built) == report.checked > 0
+    assert applies(5) and report.not_applicable > 0
 
 
-def test_the_sweep_store_holds_only_the_parameter_free_keys(monkeypatch, parameter_free_sum_keys):
-    # a drawn (num, den) reaching the store would add a key at every prime
+def test_the_sweep_store_holds_only_the_parameter_free_keys(monkeypatch, store_sum_keys):
+    # a drawn (num, den) reaching the store would add a key at every prime,
+    # and a key on a diagonal of LUCAS_SCALES would repeat lucas_sum's work
     stores = []
 
     class Recording(engine.PrefixSums):
@@ -131,7 +144,7 @@ def test_the_sweep_store_holds_only_the_parameter_free_keys(monkeypatch, paramet
     monkeypatch.setattr(engine, "PrefixSums", Recording)
     verify_many(registered_ids(), 2000)
     (store,) = stores
-    assert sorted(store.keys()) == sorted(parameter_free_sum_keys)
+    assert sorted(store.keys()) == sorted(store_sum_keys)
     assert store.restarts == 0
 
 
