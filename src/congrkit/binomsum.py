@@ -1,7 +1,7 @@
 """Binomial coefficients mod p and truncated sums sum_k C(ak, bk) m^k.
 
 Sums of this shape with upper limit about p/a are the left-hand sides of
-most statements in the registry.  They are evaluated in one of three ways.
+most statements in the registry.  They are evaluated in one of two ways.
 
 lucas_sum takes the sums of C(4k, 2k) and C(3k, k) to the default upper
 limit n = [p/a] in O(log p) steps.  Lemmas 2.2 and 3.1 of the paper give
@@ -18,12 +18,6 @@ lane per term, so one big-integer multiply advances J Horner passes at once
 (word-parallel arithmetic, Knuth TAOCP 4A, 7.1.3).  Any diagonal, m and
 upper limit works, but the O(p) tables and the diagonal are paid again at
 every prime.
-
-PrefixSums keeps, per fixed ratio num/den, the exact integer prefix sum and
-extends it from one prime to the next, so a sweep over ascending primes
-pays each term once for all of them.  It pays only for a ratio that recurs
-at every prime; a ratio drawn afresh at each prime would add a key per
-prime, each costing O(K^2) bit operations, so such sums stay on the tables.
 """
 
 from __future__ import annotations
@@ -233,57 +227,6 @@ class ModTables:
         return eval_packed(packed[1], packed[0], m, self.p)
 
 
-class PrefixSums:
-    """Exact prefix sums of sum_k C(ak, bk) (num/den)^k, shared across primes.
-
-    Each key (a, b, num, den) holds K and two exact integers,
-        t_K = C(aK, bK) num^K  and  N_K = sum_{k<=K} C(ak, bk) num^k den^(K-k),
-    so the sum to K mod a prime p not dividing den is N_K den^-K mod p.  A
-    request past K advances them by the term ratio,
-        t_{k+1} = t_k num prod_{i=1..a}(ak+i)
-                  / (prod_{i=1..b}(bk+i) prod_{i=1..a-b}((a-b)k+i)),
-        N_{k+1} = den N_k + t_{k+1},
-    the division being exact, so requests at ascending primes share every
-    step.  A request below K restarts its key from K = 0 and counts in
-    restarts.  A key keeps three integers, N_K of O(K (a + log|num den|))
-    bits, and no per-term list.
-    """
-
-    __slots__ = ("_state", "restarts")
-
-    def __init__(self):
-        # (a, b, num, den) -> (K, t_K, N_K)
-        self._state: dict[tuple[int, int, int, int], tuple[int, int, int]] = {}
-        self.restarts = 0
-
-    def keys(self) -> list[tuple[int, int, int, int]]:
-        return list(self._state)
-
-    def sum_mod(self, a: int, b: int, num: int, den: int, upper: int, p: int) -> int:
-        """sum_{k<=upper} C(ak, bk) (num/den)^k mod the odd prime p, refused
-        where ModTables refuses it."""
-        check_diag(a, b, upper, p)
-        scale = inv_mod(den, p)
-        if upper < 0:
-            return 0
-        key = (a, b, num, den)
-        state = self._state.get(key)
-        if state is None or state[0] > upper:
-            self.restarts += state is not None
-            state = (0, 1, 1)
-        k, t, n = state
-        c = a - b
-        while k < upper:
-            up = prod(range(a * k + 1, a * k + a + 1))
-            down = prod(range(b * k + 1, b * k + b + 1)) * prod(range(c * k + 1, c * k + c + 1))
-            g = gcd(up, down)  # smaller factors keep the big-integer steps short
-            t = t * (num * (up // g)) // (down // g)
-            n = n * den + t
-            k += 1
-        self._state[key] = (k, t, n)
-        return n % p * pow(scale, upper, p) % p
-
-
 @lru_cache(maxsize=8)
 def mod_tables(p: int) -> ModTables:
     return ModTables(p)
@@ -291,10 +234,11 @@ def mod_tables(p: int) -> ModTables:
 
 _SHIFT_LEMMAS = {
     # name -> (a, b, scale s); the shift base is n0 = [p/a], and
-    # binom_shift_lemma_check spells out each identity
-    "L2.2": (4, 2, -64),
+    # binom_shift_lemma_check spells out each identity.  L2.2 and L3.1 read
+    # the scales that _prove_lucas_scales proved at import
+    "L2.2": (4, 2, LUCAS_SCALES[4, 2]),
     "L2.3": (2, 1, -4),
-    "L3.1": (3, 1, -27),
+    "L3.1": (3, 1, LUCAS_SCALES[3, 1]),
 }
 
 

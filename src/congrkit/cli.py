@@ -5,14 +5,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .binomsum import mod_tables
 from .combsum import TSumKey, t_sum_exact
 from .cyclotomic import EisensteinInt, GaussianInt, cubic_symbol, quartic_symbol
 from .errors import CongruenceError, OutOfRangeError
 from .lucas import uv_mod
-from .modarith import inv_mod, is_prime, jacobi, sieve_primes
+from .modarith import is_prime, jacobi, sieve_primes
 from .qform import QuadForm, class_group, represent
-from .registry import registered_ids, reports_json, verify_many
+from .registry import Ctx, registered_ids, reports_json, verify_many
 
 
 def _require_prime(p: int) -> int:
@@ -61,14 +60,12 @@ def cmd_compute_sum(args) -> int:
     p = _require_prime(args.prime)
     if args.den % p == 0:
         raise CongruenceError(f"denominator {args.den} vanishes mod {p}")
-    a, b = args.a, args.b
+    a, b, upper = args.a, args.b, args.upper
     if a <= 0 or not 0 <= b <= a:
         raise OutOfRangeError(f"need 0 <= b <= a with a > 0, got a={a} b={b}")
-    upper = args.upper if args.upper is not None else p // a
-    if upper < 0:
+    if upper is not None and upper < 0:
         raise OutOfRangeError(f"upper limit must be non-negative, got {upper}")
-    ratio = args.num * inv_mod(args.den, p) % p
-    print(mod_tables(p).sum_diag_pow(a, b, ratio, upper))
+    print(Ctx(p).sum_binom(a, b, args.num, args.den, upper))
     return 0
 
 

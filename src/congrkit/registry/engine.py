@@ -21,7 +21,7 @@ from math import gcd
 from multiprocessing import get_context
 from typing import Any, Callable
 
-from ..binomsum import LUCAS_SCALES, TABLE_PRIME_LIMIT, ModTables, PrefixSums, lucas_sum, mod_tables
+from ..binomsum import LUCAS_SCALES, TABLE_PRIME_LIMIT, ModTables, lucas_sum, mod_tables
 from ..errors import (
     InvalidParametersError,
     OutOfRangeError,
@@ -47,15 +47,11 @@ class Ctx:
     check reads them never builds them.
 
     sum_binom takes every sum of C(4k, 2k) or C(3k, k) to the default upper
-    limit from lucas_sum, whatever the caller.  Any other sum reads the
-    sweep's exact PrefixSums while `prefix` is set, which a sweep from the
-    first prime does only for a statement without a sampler: its ratios are
-    fixed, so each key is extended from prime to prime.  The rest, a sampled
-    sum, one to another upper limit, one in a pool chunk starting higher or
-    one from check_statement, comes from the prime's tables.
+    limit from lucas_sum, and every other sum from the prime's tables,
+    whatever the caller.
     """
 
-    __slots__ = ("p", "_tables", "_uv", "_two_sq", "prefix")
+    __slots__ = ("p", "_tables", "_uv", "_two_sq")
 
     def __init__(self, p: int):
         if not 3 <= p <= TABLE_PRIME_LIMIT or p % 2 == 0 or not is_prime(p):
@@ -65,7 +61,6 @@ class Ctx:
         self._tables: ModTables | None = None
         self._uv: dict[tuple[int, int, int], tuple[int, int]] = {}
         self._two_sq: tuple[int, int] | None = None
-        self.prefix: PrefixSums | None = None
 
     @property
     def tables(self) -> ModTables:
@@ -92,13 +87,12 @@ class Ctx:
         self, a: int, b: int, num: int, den: int = 1, upper: int | None = None
     ) -> int:
         """sum of C(a k, b k) (num/den)^k for k = 0..upper, default [p/a]."""
+        m = self.fr(num, den)
         if upper is None:
             if (a, b) in LUCAS_SCALES:
-                return lucas_sum(a, b, self.fr(num, den), self.p)
+                return lucas_sum(a, b, m, self.p)
             upper = self.p // a
-        if self.prefix is not None:
-            return self.prefix.sum_mod(a, b, num, den, upper, self.p)
-        return self.tables.sum_diag_pow(a, b, self.fr(num, den), upper)
+        return self.tables.sum_diag_pow(a, b, m, upper)
 
     def uv(self, P: int, Q: int, n: int) -> tuple[int, int]:
         key = (P % self.p, Q % self.p, n)
@@ -408,29 +402,17 @@ def _tally(report: Report, v: Verdict) -> None:
 
 def _sweep(args: tuple) -> dict[str, Report]:
     """Each id's Report over an ascending run of primes, tallied one verdict
-    at a time; with fail_fast an id stops at its first failure.
-
-    Sums of C(4k, 2k) and C(3k, k) to [p/a] come from lucas_sum wherever
-    they run.  Of the other sums, a run from the sweep's first prime, 3,
-    takes those of statements without a sampler from one PrefixSums; drawn
-    ratios never recur, so sampled sums stay on the tables.  A pool chunk
-    starting higher sums on the tables too: a store there would first replay
-    every term below its first prime, O(K^2) bit operations per key, and
-    where sampled checks build the tables anyway that costs more than the
-    chunk's primes save."""
+    at a time; with fail_fast an id stops at its first failure."""
     ids, primes, prime_limit, seed, fail_fast = args
     reports = {sid: Report(sid, prime_limit, 0, 0, 0, 0, [], REGISTRY[sid].status)
                for sid in ids}
     live = list(ids)
-    prefix = PrefixSums() if primes[0] == 3 else None
     for p in primes:
         if not live:
             break
         ctx = Ctx(p)
         for sid in live:
-            stmt = REGISTRY[sid]
-            ctx.prefix = prefix if stmt.sampler is None else None
-            _tally(reports[sid], _verdict(stmt, ctx, seed))
+            _tally(reports[sid], _verdict(REGISTRY[sid], ctx, seed))
         if fail_fast:
             live = [sid for sid in live if not reports[sid].failed]
     return reports

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from congrkit.binomsum import TABLE_PRIME_LIMIT
+from congrkit.binomsum import TABLE_PRIME_LIMIT, ModTables, lucas_sum, mod_tables
 from congrkit.cli import main
 from congrkit.modarith import is_prime
 
@@ -122,6 +122,25 @@ def test_verify_json_parses(capsys):
     disputed = next(r for r in reports if r["id"] == "thm-4.4")
     assert disputed["failures"][0]["prime"] == 11
     assert disputed["failures"][0]["lhs"] == 0
+
+
+def test_compute_sum_takes_the_lucas_path_without_tables(capsys, monkeypatch):
+    # at the largest table prime a table build takes about a second
+    p = next(q for q in range(TABLE_PRIME_LIMIT, 0, -1) if is_prime(q))
+    built = []
+    real = ModTables.__init__
+
+    def counting(self, q):
+        built.append(q)
+        real(self, q)
+
+    mod_tables.cache_clear()  # a table cached by an earlier test would hide a build
+    monkeypatch.setattr(ModTables, "__init__", counting)
+    assert main(["compute", "sum", "--a", "4", "--b", "2", "--num", "3", "--den", "5",
+                 "--prime", str(p)]) == 0
+    want = lucas_sum(4, 2, 3 * pow(5, -1, p) % p, p)
+    assert want != 0 and capsys.readouterr().out.strip() == str(want)
+    assert built == []
 
 
 def test_compute_sum_bad_prime_errors(capsys):

@@ -1,7 +1,7 @@
 """The package's export lists."""
 
 import congrkit
-from congrkit import errors, registry
+from congrkit import binomsum, errors, registry
 
 
 def test_star_import_and_export_lists_resolve():
@@ -16,5 +16,6 @@ def test_star_import_and_export_lists_resolve():
 
 def test_removed_names_stay_removed():
     for module, name in ((congrkit, "verify_range"), (registry, "verify_range"),
-                         (errors, "MultipleClassesRepresentError"), (registry.Ctx, "classify")):
+                         (errors, "MultipleClassesRepresentError"), (registry.Ctx, "classify"),
+                         (binomsum, "PrefixSums"), (registry.Ctx, "prefix")):
         assert not hasattr(module, name), name

@@ -4,13 +4,12 @@
 residue.  `intro-zps` sums C(3k,k) 2^k as two diagonal runs cut out by
 Lucas's theorem; the oracle reads all p - 1 terms through base-p digits.
 `sum_diag_pow` runs Horner on packed integer lanes; the oracle is the scalar
-Horner loop.  `PrefixSums` extends exact prefix sums from prime to prime,
-and `lucas_sum` takes the sums of C(4k, 2k) and C(3k, k) from one Lucas
-pair; the oracle of both is `sum_diag_pow` on the tables.  The shift
-lemmas read the factorial tables directly; a corrupted table entry must
-make them fail.  `ModTables` takes 1/k! from (p-1-k)! by Wilson's
-reflection; the oracle is the two-loop build, k! by a forward loop and 1/k!
-by a backward loop down from 1/(p-1)!.
+Horner loop.  `lucas_sum` takes the sums of C(4k, 2k) and C(3k, k) from one
+Lucas pair; the oracle is `sum_diag_pow` on the tables, the only other path
+of `Ctx.sum_binom`.  The shift lemmas read the factorial tables directly; a
+corrupted table entry must make them fail.  `ModTables` takes 1/k! from
+(p-1-k)! by Wilson's reflection; the oracle is the two-loop build, k! by a
+forward loop and 1/k! by a backward loop down from 1/(p-1)!.
 `classify_by_class` reduces the one form [p, b, (b^2 - D)/4p]; the oracle
 runs `represent` on every class of the target list.
 """
@@ -26,7 +25,6 @@ from congrkit.binomsum import (
     LUCAS_SCALES,
     TABLE_PRIME_LIMIT,
     ModTables,
-    PrefixSums,
     binom_shift_lemma_check,
     eval_packed,
     lucas_sum,
@@ -205,48 +203,6 @@ def test_lucas_sums_match_the_tables():
                 assert lucas_sum(a, b, m, p) == t.sum_diag_pow(a, b, m, p // a), (p, a, b, m)
 
 
-def test_prefix_sums_match_the_tables_on_the_registry_keys(parameter_free_sum_keys):
-    store = PrefixSums()
-    for p in sieve_primes(3000)[2:]:
-        t = ModTables(p)
-        for a, b, num, den in parameter_free_sum_keys:
-            m = num * inv_mod(den, p) % p
-            assert store.sum_mod(a, b, num, den, p // a, p) == t.sum_diag_pow(a, b, m, p // a), \
-                (p, a, b, num, den)
-    assert sorted(store.keys()) == sorted(parameter_free_sum_keys)
-    assert store.restarts == 0
-
-
-def test_prefix_sums_match_the_tables_on_random_keys():
-    rng = random.Random(15)
-    primes = [p for p in sieve_primes(20_000) if p > 13]  # above every a
-    for _ in range(40):
-        a = rng.randrange(1, 13)
-        b = rng.choice((0, a, rng.randrange(a + 1)))
-        num = rng.choice((0, -1, rng.randrange(-500, 501)))
-        den = rng.choice((1, -rng.randrange(1, 500), rng.randrange(1, 5000)))
-        store = PrefixSums()
-        for p in sorted(rng.sample(primes, 4)):
-            if den % p == 0:
-                continue
-            m = num * inv_mod(den, p) % p
-            upper = (p - 1) // a  # [p/a] but at a = 1
-            want = mod_tables(p).sum_diag_pow(a, b, m, upper)
-            assert store.sum_mod(a, b, num, den, upper, p) == want, (p, a, b, num, den)
-        assert store.restarts == 0
-
-
-def test_a_request_below_k_restarts_the_key():
-    p = 1009
-    t = mod_tables(p)
-    m = -inv_mod(16, p) % p
-    store = PrefixSums()
-    for restarts, upper in ((0, p // 4), (1, 10), (1, 10), (1, 11), (2, 0), (2, -1)):
-        want = t.sum_diag_pow(4, 2, m, upper) if upper >= 0 else 0
-        assert store.sum_mod(4, 2, -1, 16, upper, p) == want, upper
-        assert store.restarts == restarts, upper
-
-
 @pytest.mark.parametrize("a, b, den, upper, error", [
     (3, 4, 1, 10, OutOfRangeError),
     (3, -1, 1, 10, OutOfRangeError),
@@ -254,18 +210,15 @@ def test_a_request_below_k_restarts_the_key():
     (3, 1, 202, 10, ZeroInverseError),
 ])
 def test_prefix_sums_refuse_what_the_tables_refuse(a, b, den, upper, error):
-    ctx = Ctx(101)
+    # the truncated sums of Ctx.sum_binom, at an explicit upper limit
     with pytest.raises(error):
-        ctx.sum_binom(a, b, 1, den, upper)
-    ctx.prefix = PrefixSums()
-    with pytest.raises(error):
-        ctx.sum_binom(a, b, 1, den, upper)
-    assert ctx.prefix.keys() == []
+        Ctx(101).sum_binom(a, b, 1, den, upper)
 
 
 def test_both_sum_paths_share_one_diagonal_check(monkeypatch):
-    # the Lucas path refuses what the tables, read through an explicit upper
-    # limit, refuse: 3 * [3/3] reaching p = 3, and p | den
+    # the Lucas path, taken at the default upper limit, refuses what the
+    # tables, read through an explicit one, refuse: 3 * [3/3] reaching
+    # p = 3, and p | den
     for p, a, b, den, error in ((3, 3, 1, 1, OutOfRangeError), (101, 4, 2, 202, ZeroInverseError),
                                 (101, 3, 1, -101, ZeroInverseError)):
         ctx = Ctx(p)
@@ -283,8 +236,6 @@ def test_both_sum_paths_share_one_diagonal_check(monkeypatch):
     monkeypatch.setattr(binomsum, "check_diag", refuse)
     with pytest.raises(Refused):
         ModTables(101).sum_diag_pow(3, 1, 1, 10)
-    with pytest.raises(Refused):
-        PrefixSums().sum_mod(3, 1, 1, 1, 10, 101)
     with pytest.raises(Refused):
         lucas_sum(3, 1, 1, 101)
 

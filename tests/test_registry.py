@@ -109,18 +109,21 @@ def test_tables_are_built_only_where_a_check_reads_them(monkeypatch):
         assert report.checked > 0
         assert check_statement(sid, 1987).outcome == "Pass"
     assert built == []
-    # thm-4.1 (no sampler) sums C(6k, 3k): a serial sweep takes it from its
-    # PrefixSums, while check_statement and a pool chunk that starts above
-    # the first prime read the tables
+    # thm-4.1 (no sampler) sums C(6k, 3k), which only the tables give: a
+    # serial sweep, a pool chunk that starts above the first prime and
+    # check_statement build them at exactly the primes where it applies
+    applies = engine.REGISTRY["thm-4.1"].applies
     report = verify_many(["thm-4.1"], 2000)[0]
-    assert built == []
-    assert report.checked > 0
-    assert check_statement("thm-4.1", 1987).outcome == "Pass"
-    assert built == [1987]
+    assert built == [q for q in range(3, 2000) if is_prime(q) and applies(q)]
+    assert len(built) == report.checked > 0
+    serial = [q for q in built if q in chunk]
     built.clear()
     report = engine._sweep((["thm-4.1"], chunk, 2000, 0, False))["thm-4.1"]
-    assert built == [q for q in chunk if engine.REGISTRY["thm-4.1"].applies(q)]
+    assert built == serial == [q for q in chunk if applies(q)]
     assert len(built) == report.checked > 0
+    built.clear()
+    assert check_statement("thm-4.1", 1987).outcome == "Pass"
+    assert built == [1987]
     # sampled sums on another diagonal read the tables at each prime where a
     # check runs; at p = 5 no drawn a is admissible, so nothing is checked
     built.clear()
@@ -129,23 +132,6 @@ def test_tables_are_built_only_where_a_check_reads_them(monkeypatch):
     assert built == [p for p in range(7, 2000) if is_prime(p) and applies(p)]
     assert len(built) == report.checked > 0
     assert applies(5) and report.not_applicable > 0
-
-
-def test_the_sweep_store_holds_only_the_parameter_free_keys(monkeypatch, store_sum_keys):
-    # a drawn (num, den) reaching the store would add a key at every prime,
-    # and a key on a diagonal of LUCAS_SCALES would repeat lucas_sum's work
-    stores = []
-
-    class Recording(engine.PrefixSums):
-        def __init__(self):
-            super().__init__()
-            stores.append(self)
-
-    monkeypatch.setattr(engine, "PrefixSums", Recording)
-    verify_many(registered_ids(), 2000)
-    (store,) = stores
-    assert sorted(store.keys()) == sorted(store_sum_keys)
-    assert store.restarts == 0
 
 
 def test_a_shared_ctx_builds_its_tables_at_most_once(monkeypatch):
