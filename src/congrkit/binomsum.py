@@ -227,7 +227,8 @@ class ModTables:
         return eval_packed(packed[1], packed[0], m, self.p)
 
 
-@lru_cache(maxsize=8)
+# one prime's tables: a check reads its own prime's only, and a sweep moves on
+@lru_cache(maxsize=1)
 def mod_tables(p: int) -> ModTables:
     return ModTables(p)
 

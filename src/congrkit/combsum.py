@@ -29,7 +29,8 @@ class TSumKey:
             raise OutOfRangeError(f"bad T-sum key {self}")
 
 
-@lru_cache(maxsize=64)
+# rows n and n + 1: all that the checks at one prime read
+@lru_cache(maxsize=2)
 def _binom_row(n: int) -> tuple[int, ...]:
     row = [1] * (n + 1)
     c = 1

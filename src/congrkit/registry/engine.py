@@ -21,7 +21,7 @@ from math import gcd
 from multiprocessing import get_context
 from typing import Any, Callable
 
-from ..binomsum import LUCAS_SCALES, TABLE_PRIME_LIMIT, ModTables, lucas_sum, mod_tables
+from ..binomsum import LUCAS_SCALES, TABLE_PRIME_LIMIT, ModTables, check_diag, lucas_sum, mod_tables
 from ..errors import (
     InvalidParametersError,
     OutOfRangeError,
@@ -42,31 +42,28 @@ NOT_APPLICABLE = "NotApplicable"
 
 class Ctx:
     """Caches shared by every statement checked at one odd prime
-    p <= TABLE_PRIME_LIMIT; any other p is refused here.  The factorial
-    tables are built on the first read of ctx.tables, so a prime where no
-    check reads them never builds them.
+    p <= TABLE_PRIME_LIMIT; any other p is refused here.  ctx.tables reads
+    the factorial tables from mod_tables, which holds one prime's and builds
+    them on first read, so a prime where no check reads them builds none.
 
     sum_binom takes every sum of C(4k, 2k) or C(3k, k) to the default upper
     limit from lucas_sum, and every other sum from the prime's tables,
     whatever the caller.
     """
 
-    __slots__ = ("p", "_tables", "_uv", "_two_sq")
+    __slots__ = ("p", "_uv", "_two_sq")
 
     def __init__(self, p: int):
         if not 3 <= p <= TABLE_PRIME_LIMIT or p % 2 == 0 or not is_prime(p):
             raise OutOfRangeError(
                 f"p must be an odd prime at most {TABLE_PRIME_LIMIT}, got {p}")
         self.p = p
-        self._tables: ModTables | None = None
         self._uv: dict[tuple[int, int, int], tuple[int, int]] = {}
         self._two_sq: tuple[int, int] | None = None
 
     @property
     def tables(self) -> ModTables:
-        if self._tables is None:
-            self._tables = mod_tables(self.p)
-        return self._tables
+        return mod_tables(self.p)
 
     def inv(self, x: int) -> int:
         return inv_mod(x % self.p, self.p)
@@ -92,6 +89,7 @@ class Ctx:
             if (a, b) in LUCAS_SCALES:
                 return lucas_sum(a, b, m, self.p)
             upper = self.p // a
+        check_diag(a, b, upper, self.p)  # before the O(p) tables are built
         return self.tables.sum_diag_pow(a, b, m, upper)
 
     def uv(self, P: int, Q: int, n: int) -> tuple[int, int]:

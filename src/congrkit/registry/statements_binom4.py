@@ -641,7 +641,7 @@ register(Statement(
 def _check_thm_2_12(ctx: Ctx, params) -> Outcome:
     p = ctx.p
     a = params["a"]
-    lhs = 2 * ctx.sum_binom(8, 4, ctx.pw(a, 4), upper=p // 8) % p
+    lhs = 2 * ctx.sum_binom(8, 4, ctx.pw(a, 4)) % p
     s1 = ctx.jac(1 - 16 * a * a)
     s2 = ctx.jac(1 + 16 * a * a)
     sym = None
@@ -673,7 +673,7 @@ register(Statement(
 
 def _check_cor_2_7(ctx: Ctx, params) -> Outcome:
     p = ctx.p
-    lhs = 2 * ctx.sum_binom(8, 4, 1, upper=p // 8) % p
+    lhs = 2 * ctx.sum_binom(8, 4, 1) % p
     s15 = jacobi(p, 15)
     s17 = jacobi(p, 17)
     sym = None

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from congrkit.binomsum import TABLE_PRIME_LIMIT, ModTables, lucas_sum, mod_tables
+from congrkit.binomsum import TABLE_PRIME_LIMIT, lucas_sum
 from congrkit.cli import main
 from congrkit.modarith import is_prime
 
@@ -124,23 +124,24 @@ def test_verify_json_parses(capsys):
     assert disputed["failures"][0]["lhs"] == 0
 
 
-def test_compute_sum_takes_the_lucas_path_without_tables(capsys, monkeypatch):
+def test_compute_sum_takes_the_lucas_path_without_tables(capsys, table_builds):
     # at the largest table prime a table build takes about a second
     p = next(q for q in range(TABLE_PRIME_LIMIT, 0, -1) if is_prime(q))
-    built = []
-    real = ModTables.__init__
-
-    def counting(self, q):
-        built.append(q)
-        real(self, q)
-
-    mod_tables.cache_clear()  # a table cached by an earlier test would hide a build
-    monkeypatch.setattr(ModTables, "__init__", counting)
     assert main(["compute", "sum", "--a", "4", "--b", "2", "--num", "3", "--den", "5",
                  "--prime", str(p)]) == 0
     want = lucas_sum(4, 2, 3 * pow(5, -1, p) % p, p)
     assert want != 0 and capsys.readouterr().out.strip() == str(want)
-    assert built == []
+    assert table_builds == []
+
+
+def test_compute_sum_refuses_a_long_diagonal_before_building_tables(capsys, table_builds):
+    # 4 * 600000 reaches p = 1999993, which check_diag refuses before the
+    # 2 * 10^6-entry tables are built
+    p = next(q for q in range(TABLE_PRIME_LIMIT, 0, -1) if is_prime(q))
+    assert main(["compute", "sum", "--a", "4", "--b", "2", "--num", "1",
+                 "--upper", "600000", "--prime", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert table_builds == []
 
 
 def test_compute_sum_bad_prime_errors(capsys):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from congrkit.binomsum import TABLE_PRIME_LIMIT
+from congrkit.binomsum import TABLE_PRIME_LIMIT, mod_tables
 from congrkit.errors import (
     CongruenceError,
     InvalidParametersError,
@@ -19,7 +19,8 @@ from congrkit.registry import (
     reports_json,
     verify_many,
 )
-from congrkit.modarith import is_prime
+from congrkit import combsum
+from congrkit.modarith import is_prime, sieve_primes
 from congrkit.registry import Ctx, engine
 from congrkit.registry.engine import CaseTable, FormTable
 from congrkit.qform import QuadForm
@@ -83,20 +84,8 @@ def test_check_statement_refuses_p_above_the_limit(sid, applies):
         check_statement(sid, _ABOVE_LIMIT)
 
 
-def _count_table_builds(monkeypatch) -> list[int]:
-    built = []
-    real = engine.mod_tables
-
-    def counting(p):
-        built.append(p)
-        return real(p)
-
-    monkeypatch.setattr(engine, "mod_tables", counting)
-    return built
-
-
-def test_tables_are_built_only_where_a_check_reads_them(monkeypatch):
-    built = _count_table_builds(monkeypatch)
+def test_tables_are_built_only_where_a_check_reads_them(table_builds):
+    built = table_builds
     # thm-3.8 (no sampler) and thm-3.10 (sampled) sum only C(4k, 2k) or
     # C(3k, k) to [p/a], which lucas_sum takes without tables: in a serial
     # sweep, in a pool chunk that starts above the first prime and through
@@ -134,10 +123,28 @@ def test_tables_are_built_only_where_a_check_reads_them(monkeypatch):
     assert applies(5) and report.not_applicable > 0
 
 
-def test_a_shared_ctx_builds_its_tables_at_most_once(monkeypatch):
-    built = _count_table_builds(monkeypatch)
+def test_a_shared_ctx_builds_its_tables_at_most_once(table_builds):
+    built = table_builds
     verify_many(registered_ids(), 300)
     assert built and len(built) == len(set(built))
+
+
+def test_the_caches_hold_one_prime_s_state(table_builds):
+    for q in (101, 103, 107):
+        check_statement("thm-4.1", q)
+    assert table_builds == [101, 103, 107] and mod_tables.cache_info().currsize == 1
+    verify_many(["eq-4.2", "delta5-family"], 600)
+    assert combsum._binom_row.cache_info().currsize <= 2
+    # a check reads its own prime's tables and the rows n = (p -+ 1)/2 only,
+    # so a sweep still builds each of them once, at its first read
+    table_builds.clear()
+    mod_tables.cache_clear()
+    combsum._binom_row.cache_clear()
+    verify_many(registered_ids(), 2000)
+    primes = [q for q in sieve_primes(2000) if q > 2]
+    rows = {n for q in primes for n in ((q - 1) // 2, (q + 1) // 2)}
+    assert table_builds == primes and mod_tables.cache_info().misses == len(primes) == 302
+    assert combsum._binom_row.cache_info().misses == len(rows) == 543
 
 
 def test_verify_range_counts_add_up():
