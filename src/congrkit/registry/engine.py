@@ -1,7 +1,7 @@
 """Statement registry and verification engine.
 
-Each registered statement couples an applicability predicate over odd
-primes, a check routine that evaluates the claimed congruence at one prime
+Each registered statement couples an Applies record of the odd primes it
+holds at, a check routine that evaluates the claimed congruence at one prime
 and, for statements over parameter tuples, one draw per parameter and the
 tuple hypothesis; register builds from them the sampler that draws tuples
 satisfying it.  The engine runs statements over
@@ -17,7 +17,7 @@ import os
 import random
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-from math import gcd
+from math import gcd, inf
 from multiprocessing import get_context
 from typing import Any, Callable
 
@@ -117,11 +117,48 @@ class Outcome:
 
 
 @dataclass(frozen=True)
+class Applies:
+    """The odd primes p a statement holds at: lo <= p <= cap, p mod modulus
+    in classes, and p not in exclude.
+
+    Checked when built, so at import: each class is a residue mod modulus
+    and holds a prime >= lo (it is a unit, which holds primes by Dirichlet's
+    theorem, or is itself such a prime), lo <= cap, and each excluded prime
+    is one the record would admit without its exclusions.  Anything else
+    raises ValueError.
+    """
+
+    modulus: int = 1
+    classes: tuple[int, ...] | frozenset[int] = (0,)
+    lo: int = 3
+    cap: float = inf
+    exclude: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        for r in self.classes:
+            if not 0 <= r < self.modulus:
+                raise ValueError(f"class {r} is not a residue mod {self.modulus}")
+            if gcd(r, self.modulus) != 1 and not (r >= self.lo and is_prime(r)):
+                raise ValueError(f"class {r} mod {self.modulus} holds no prime >= {self.lo}")
+        if self.lo > self.cap:
+            raise ValueError(f"lo = {self.lo} is above cap = {self.cap}")
+        if self.exclude:
+            whole = replace(self, exclude=())
+            dead = [q for q in self.exclude if not (is_prime(q) and whole(q))]
+            if dead:
+                raise ValueError(f"excluded {dead} would not be admitted anyway")
+
+    def __call__(self, p: int) -> bool:
+        return (self.lo <= p <= self.cap and p % self.modulus in self.classes
+                and p not in self.exclude)
+
+
+@dataclass(frozen=True)
 class Statement:
     id: str
-    status: str  # "verified" or "disputed"
-    applies: Callable[[int], bool]
     check: Callable[[Ctx, dict | None], Outcome]
+    applies: Applies = Applies()  # every odd prime
+    status: str = "verified"  # or "disputed"
     sampler: Callable[[random.Random, int], dict | None] | None = None  # set by register
     # (params, p) -> whether the tuple satisfies the statement's hypothesis
     hypothesis: Callable[[dict, int], bool] | None = None
@@ -166,6 +203,8 @@ def register(stmt: Statement) -> Statement:
         raise ValueError(f"duplicate statement id {stmt.id}")
     if stmt.sampler or bool(stmt.draw) != bool(stmt.hypothesis):
         raise ValueError(f"{stmt.id}: a draw and a hypothesis go together, not a sampler")
+    if not isinstance(stmt.applies, Applies):
+        raise ValueError(f"{stmt.id}: applies must be an Applies record")
     if stmt.draw:
         stmt = replace(stmt, sampler=partial(_sample, tuple(stmt.draw.items()), stmt.hypothesis))
     REGISTRY[stmt.id] = stmt

@@ -8,11 +8,14 @@ sums against U_n(9b,3a) evaluations.
 
 from __future__ import annotations
 
+from math import gcd, prod
+
 from ..binomsum import binom_shift_lemma_check
 from ..cyclotomic import EisensteinInt, cubic_symbol
-from ..modarith import jacobi
+from ..modarith import is_prime, jacobi
 from ..qform import classify_by_class
 from .engine import (
+    Applies,
     CaseTable,
     Ctx,
     FormTable,
@@ -30,6 +33,16 @@ def _ab_units(t, p):
 
 
 # ------------------------------------------------------- form-class rows
+
+def _symbol_one(*bottoms: int) -> frozenset[int]:
+    """The classes r mod the product M of bottoms with (r|b) = 1 for some
+    bottom b, less those that hold no prime: r must be a unit mod M or a
+    prime."""
+    M = prod(bottoms)
+    ones = {r + j * b for b in bottoms for r in range(b) if jacobi(r, b) == 1
+            for j in range(M // b)}
+    return frozenset(r for r in ones if gcd(r, M) == 1 or is_prime(r))
+
 
 def _one(ctx: Ctx, x: int, y: int) -> int:
     return 1
@@ -74,8 +87,7 @@ def _zps_sum(ctx: Ctx) -> int:
 
 register(Statement(
     id="intro-zps",
-    status="verified",
-    applies=lambda p: p > 5,
+    applies=Applies(lo=7),
     check=row_check(_zps_sum, _TABLE_ZPS),
 ))
 
@@ -104,8 +116,7 @@ def _check_intro_1_3(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="intro-1.3",
-    status="verified",
-    applies=lambda p: p > 3 and p != 23 and p not in (13, 29),
+    applies=Applies(lo=5, exclude=(13, 23, 29)),
     check=_check_intro_1_3,
     notes="p = 13 and p = 29 are the leading coefficients of the ratio-valued"
           " forms, where the representation forces y = 0",
@@ -119,8 +130,7 @@ def _check_lem_3_1(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="lem-3.1",
-    status="verified",
-    applies=lambda p: p > 3,
+    applies=Applies(lo=5),
     check=_check_lem_3_1,
 ))
 
@@ -135,8 +145,7 @@ def _check_thm_3_1(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="thm-3.1",
-    status="verified",
-    applies=lambda p: p > 3,
+    applies=Applies(lo=5),
     check=_check_thm_3_1,
     draw={"a": unit, "b": unit},
     hypothesis=_ab_units,
@@ -152,8 +161,7 @@ _TABLE_3_2 = CaseTable(9, (
 
 register(Statement(
     id="thm-3.2",
-    status="verified",
-    applies=lambda p: p > 3,
+    applies=Applies(lo=5),
     check=row_check(lambda ctx: ctx.sum_binom(3, 1, 1, 27), _TABLE_3_2),
 ))
 
@@ -180,8 +188,7 @@ def _pq_nondeg(t, p):
 
 register(Statement(
     id="lem-3.2",
-    status="verified",
-    applies=lambda p: p > 3,
+    applies=Applies(lo=5),
     check=_check_lem_3_2,
     draw={"P": unit, "Q": unit},
     hypothesis=_pq_nondeg,
@@ -212,8 +219,7 @@ def _ab_split(t, p):
 
 register(Statement(
     id="thm-3.3",
-    status="verified",
-    applies=lambda p: p > 3,
+    applies=Applies(lo=5),
     check=_check_thm_3_3,
     draw={"a": unit, "b": unit},
     hypothesis=_ab_split,
@@ -237,8 +243,7 @@ def _check_cor_3_1(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="cor-3.1",
-    status="verified",
-    applies=lambda p: p > 5,
+    applies=Applies(lo=7),
     check=_check_cor_3_1,
 ))
 
@@ -265,16 +270,14 @@ def _sums_3_4(ctx: Ctx) -> list[int]:
 
 register(Statement(
     id="thm-3.4",
-    status="verified",
-    applies=lambda p: p > 5 and p % 15 in (1, 2, 4, 8),
+    applies=Applies(15, (1, 2, 4, 8)),
     check=row_check(_sums_3_4, _TABLE_3_4),
 ))
 
 
 register(Statement(
     id="thm-3.5",
-    status="verified",
-    applies=lambda p: p > 5 and p % 15 in (1, 2, 4, 8),
+    applies=Applies(15, (1, 2, 4, 8)),
     check=row_check(lambda ctx: ctx.sum_binom(3, 1, 1, 3), _TABLE_3_5),
 ))
 
@@ -292,9 +295,7 @@ _ROWS_3_6 = FormTable(-351, (
 
 register(Statement(
     id="thm-3.6",
-    status="verified",
-    applies=lambda p: p > 3 and jacobi(p, 13) == jacobi(p, 3) != 0
-    and p not in (5, 43, 47),
+    applies=Applies(39, _symbol_one(39), lo=5, exclude=(5, 43, 47)),
     check=row_check(lambda ctx: ctx.sum_binom(3, 1, -1, 3), _ROWS_3_6),
 ))
 
@@ -313,8 +314,7 @@ _ROWS_3_7 = FormTable(-255, (
 
 register(Statement(
     id="thm-3.7",
-    status="verified",
-    applies=lambda p: jacobi(p, 255) == 1 and p not in (7, 11, 19),
+    applies=Applies(255, _symbol_one(255), exclude=(7, 11, 19)),
     check=row_check(lambda ctx: ctx.sum_binom(3, 1, -3), _ROWS_3_7),
     notes="the 11x^2+3xy+6y^2 row divides by 85y: the variant with 17y fails"
           " at p = 29 (15 vs 3) while 85y matches the Lucas-side derivation"
@@ -324,8 +324,7 @@ register(Statement(
 
 register(Statement(
     id="thm-3.8",
-    status="verified",
-    applies=lambda p: p > 3 and jacobi(p, 23) == 1 and p not in (13, 29),
+    applies=Applies(23, _symbol_one(23), lo=5, exclude=(13, 29)),
     check=row_check(lambda ctx: ctx.sum_binom(3, 1, 1), _ROWS_3_8),
 ))
 
@@ -343,8 +342,7 @@ _ROWS_3_9 = FormTable(-279, (
 
 register(Statement(
     id="thm-3.9",
-    status="verified",
-    applies=lambda p: p > 3 and jacobi(p, 31) == 1 and p not in (5, 7, 19),
+    applies=Applies(31, _symbol_one(31), lo=5, exclude=(5, 7, 19)),
     check=row_check(lambda ctx: ctx.sum_binom(3, 1, -1), _ROWS_3_9),
 ))
 
@@ -365,8 +363,7 @@ def _a_cubic(t, p):
 
 register(Statement(
     id="thm-3.10",
-    status="verified",
-    applies=lambda p: p > 3,
+    applies=Applies(lo=5),
     check=_check_thm_3_10,
     draw={"a": unit},
     hypothesis=_a_cubic,
@@ -442,8 +439,7 @@ def _check_lem_3_3(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="lem-3.3",
-    status="verified",
-    applies=lambda p: p > 3 and (jacobi(p, 23) == 1 or jacobi(p, 31) == 1),
+    applies=Applies(713, _symbol_one(23, 31), lo=5),
     check=_check_lem_3_3,
     notes="checked at the two concrete parameter pairs; at primes equal to a"
           " form's leading coefficient the representation has y = 0, so the"

@@ -1,11 +1,12 @@
 """Case tables for truncated sums of C(4k,2k) x^k and C(8k,4k) x^k.
 
-Each register() call pairs an applicability predicate with a check that
-evaluates the sum at one prime and looks up the matching right-hand row,
-mostly in a CaseTable on p mod M.  Parameterized statements state their
-tuple once, as draw={name: draw(rng, p)} in draw order, which gives the
-parameter keys, and their hypothesis once, as a predicate that both filters
-the seeded draws and guards explicit parameters.
+Each register() call pairs an Applies record of the primes the statement
+holds at (every odd prime when omitted) with a check that evaluates the sum
+at one prime and looks up the matching right-hand row, mostly in a CaseTable
+on p mod M.  Parameterized statements state their tuple once, as
+draw={name: draw(rng, p)} in draw order, which gives the parameter keys, and
+their hypothesis once, as a predicate that both filters the seeded draws and
+guards explicit parameters.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from ..cyclotomic import GaussianInt, quartic_symbol
 from ..errors import CongruenceError, NotCoprimeError
 from ..modarith import jacobi, sqrt_mod
 from .engine import (
+    Applies,
     CaseTable,
     Ctx,
     FormTable,
@@ -75,8 +77,7 @@ _CHECK_2_6 = row_check(lambda ctx: ctx.sum_binom(4, 2, -1), _TABLE_2_6)
 
 register(Statement(
     id="thm-2.6",
-    status="verified",
-    applies=lambda p: p != 17,
+    applies=Applies(exclude=(17,)),
     check=_CHECK_2_6,
 ))
 
@@ -84,8 +85,7 @@ register(Statement(
 # intro-1.1 is the p ≡ 3 (mod 4) half of thm-2.6
 register(Statement(
     id="intro-1.1",
-    status="verified",
-    applies=lambda p: p % 4 == 3,
+    applies=Applies(4, (3,)),
     check=_CHECK_2_6,
 ))
 
@@ -120,8 +120,7 @@ def _a_16sq(t, p):
 
 register(Statement(
     id="intro-1.2",
-    status="verified",
-    applies=lambda p: p % 4 == 1,
+    applies=Applies(4, (1,)),
     check=_check_intro_1_2,
     draw={"a": small},
     hypothesis=_a_16sq,
@@ -158,8 +157,7 @@ def _check_cor_2_1(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="cor-2.1",
-    status="verified",
-    applies=lambda p: p >= 5,
+    applies=Applies(lo=5),
     check=_check_cor_2_1,
     notes="stated for every odd prime, but at p = 3 the sum is 1 and no mod 24 row"
           " reproduces it; restricted to p >= 5",
@@ -180,8 +178,6 @@ def _check_thm_2_1(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="thm-2.1",
-    status="verified",
-    applies=lambda p: p >= 3,
     check=_check_thm_2_1,
     draw={"P": unit, "Q": unit},
     hypothesis=_pq_units,
@@ -202,8 +198,7 @@ def _x_unit(t, p):
 
 register(Statement(
     id="thm-2.2-i",
-    status="verified",
-    applies=lambda p: p % 4 == 1,
+    applies=Applies(4, (1,)),
     check=_check_thm_2_2_i,
     draw={"x": unit_not_one},
     hypothesis=_x_unit,
@@ -225,8 +220,7 @@ def _x_and_1_minus_x_units(t, p):
 
 register(Statement(
     id="thm-2.2-ii",
-    status="verified",
-    applies=lambda p: p % 4 == 3 and p > 3,
+    applies=Applies(4, (3,), lo=5),
     check=_check_thm_2_2_ii,
     draw={"x": unit_not_one},
     hypothesis=_x_and_1_minus_x_units,
@@ -240,8 +234,7 @@ def _check_cor_2_2_8k7(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="cor-2.2-8k7",
-    status="verified",
-    applies=lambda p: p % 8 == 7,
+    applies=Applies(8, (7,)),
     check=_check_cor_2_2_8k7,
 ))
 
@@ -265,8 +258,7 @@ def _check_thm_2_3(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="thm-2.3",
-    status="verified",
-    applies=lambda p: p >= 5,
+    applies=Applies(lo=5),
     check=_check_thm_2_3,
     draw={"P": unit, "Q": unit},
     hypothesis=_pq_split,
@@ -288,8 +280,7 @@ _TABLE_2_4 = CaseTable(8, (
 
 register(Statement(
     id="thm-2.4",
-    status="verified",
-    applies=lambda p: p > 5,
+    applies=Applies(lo=7),
     check=row_check(lambda ctx: ctx.sum_binom(4, 2, -1, 16), _TABLE_2_4),
 ))
 
@@ -326,8 +317,7 @@ def _check_thm_2_5(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="thm-2.5",
-    status="verified",
-    applies=lambda p: p > 5,
+    applies=Applies(lo=7),
     check=_check_thm_2_5,
 ))
 
@@ -349,8 +339,7 @@ _TABLE_2_7 = CaseTable(52, tuple(
 
 register(Statement(
     id="thm-2.7",
-    status="verified",
-    applies=lambda p: p not in (3, 13),
+    applies=Applies(lo=5, exclude=(13,)),
     check=row_check(
         lambda ctx: ctx.jac(3) * ctx.sum_binom(4, 2, -1, 36) % ctx.p,
         _TABLE_2_7),
@@ -374,8 +363,7 @@ _TABLE_2_8 = FormTable(-40, (
 
 register(Statement(
     id="thm-2.8",
-    status="verified",
-    applies=lambda p: p % 40 in (1, 9, 11, 13, 19, 37),
+    applies=Applies(40, (1, 9, 11, 13, 19, 37)),
     check=row_check(lambda ctx: ctx.sum_binom(4, 2, -1, 144), _TABLE_2_8),
 ))
 
@@ -396,8 +384,7 @@ def _a_16sq_minus(t, p):
 
 register(Statement(
     id="thm-2.9",
-    status="verified",
-    applies=lambda p: p >= 5,
+    applies=Applies(lo=5),
     check=_check_thm_2_9,
     draw={"a": unit},
     hypothesis=_a_16sq_minus,
@@ -414,8 +401,7 @@ _TABLE_2_2_MOD15 = CaseTable(15, (
 
 register(Statement(
     id="cor-2.2-mod15",
-    status="verified",
-    applies=lambda p: p > 5,
+    applies=Applies(lo=7),
     check=row_check(lambda ctx: ctx.sum_binom(4, 2, 1), _TABLE_2_2_MOD15),
 ))
 
@@ -428,16 +414,14 @@ _TABLE_COR_2_3 = CaseTable(7, (
 
 register(Statement(
     id="cor-2.3",
-    status="verified",
-    applies=lambda p: p > 7,
+    applies=Applies(lo=11),
     check=row_check(lambda ctx: ctx.sum_binom(4, 2, 4), _TABLE_COR_2_3),
 ))
 
 
 register(Statement(
     id="cor-2.4",
-    status="verified",
-    applies=lambda p: p > 3,
+    applies=Applies(lo=5),
     check=row_check(lambda ctx: ctx.sum_binom(4, 2, 1, 4), _RATIO_1_4),
 ))
 
@@ -482,8 +466,7 @@ def _check_thm_2_10(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="thm-2.10",
-    status="verified",
-    applies=lambda p: p % 4 == 1,
+    applies=Applies(4, (1,)),
     check=_check_thm_2_10,
     draw={"b": small_signed, "m": small_signed},
     hypothesis=_bm_coprime,
@@ -503,8 +486,7 @@ def _check_cor_2_5(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="cor-2.5",
-    status="verified",
-    applies=lambda p: p % 4 == 1 and p % 17 in (1, 2, 4, 8, 9, 13, 15, 16),
+    applies=Applies(68, _mod68((1,), (1, 2, 4, 8, 9, 13, 15, 16))),
     check=_check_cor_2_5,
 ))
 
@@ -628,8 +610,6 @@ def _check_thm_2_11(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="thm-2.11",
-    status="verified",
-    applies=lambda p: p >= 3,
     check=_check_thm_2_11,
     draw={"b": small_signed, "m": small_signed},
     hypothesis=_bm_coprime,
@@ -661,8 +641,7 @@ def _a_signed(t, p):
 
 register(Statement(
     id="thm-2.12",
-    status="verified",
-    applies=lambda p: p % 4 == 1,
+    applies=Applies(4, (1,)),
     check=_check_thm_2_12,
     draw={"a": small_signed},
     hypothesis=_a_signed,
@@ -688,8 +667,7 @@ def _check_cor_2_7(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="cor-2.7",
-    status="verified",
-    applies=lambda p: p % 4 == 1 and p not in (5, 17),
+    applies=Applies(4, (1,), exclude=(5, 17)),
     check=_check_cor_2_7,
 ))
 
@@ -703,8 +681,6 @@ def _check_lem_2_2(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="lem-2.2",
-    status="verified",
-    applies=lambda p: p >= 3,
     check=_check_lem_2_2,
 ))
 
@@ -716,8 +692,6 @@ def _check_lem_2_3(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="lem-2.3",
-    status="verified",
-    applies=lambda p: p >= 3,
     check=_check_lem_2_3,
 ))
 
@@ -734,8 +708,6 @@ def _check_lem_2_4(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="lem-2.4",
-    status="verified",
-    applies=lambda p: p >= 3,
     check=_check_lem_2_4,
 ))
 
@@ -757,8 +729,7 @@ def _check_lem_2_5(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="lem-2.5",
-    status="verified",
-    applies=lambda p: p >= 5,
+    applies=Applies(lo=5),
     check=_check_lem_2_5,
     draw={"P": unit, "Q": unit},
     hypothesis=_pq_split,

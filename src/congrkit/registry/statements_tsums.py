@@ -10,6 +10,7 @@ computation (kept with status "disputed", failures reported as data).
 from __future__ import annotations
 
 from ..combsum import (
+    RECURRENCE_INDEX_LIMIT,
     TSumKey,
     delta5_findings,
     t5_row_claim,
@@ -17,7 +18,7 @@ from ..combsum import (
     t_sum_exact,
     t0_closed,
 )
-from .engine import CaseTable, Ctx, Outcome, Statement, _sign_pow, register, row_check
+from .engine import Applies, CaseTable, Ctx, Outcome, Statement, _sign_pow, register, row_check
 
 
 def _check_intro_1_4(ctx: Ctx, params) -> Outcome:
@@ -27,8 +28,7 @@ def _check_intro_1_4(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="intro-1.4",
-    status="verified",
-    applies=lambda p: p % 24 == 13,
+    applies=Applies(24, (13,)),
     check=_check_intro_1_4,
     notes="also appears as the second display of thm-4.6; registered on its"
           " own so the id stays addressable",
@@ -45,8 +45,7 @@ _TABLE_4_1 = CaseTable(3, tuple(
 
 register(Statement(
     id="thm-4.1",
-    status="verified",
-    applies=lambda p: p > 3,
+    applies=Applies(lo=5),
     check=row_check(lambda ctx: ctx.sum_binom(6, 3, -1, 64), _TABLE_4_1),
 ))
 
@@ -64,8 +63,6 @@ _TABLE_4_2 = CaseTable(8, (
 
 register(Statement(
     id="thm-4.2",
-    status="verified",
-    applies=lambda p: p > 2,
     check=row_check(
         lambda ctx: 4 * ctx.sum_binom(8, 4, 1, 256) % ctx.p,
         _TABLE_4_2),
@@ -83,8 +80,7 @@ _TABLE_4_3 = CaseTable(24, tuple(
 
 register(Statement(
     id="thm-4.3",
-    status="verified",
-    applies=lambda p: p > 3,
+    applies=Applies(lo=5),
     check=row_check(
         lambda ctx: 6 * ctx.sum_binom(12, 6, 1, 4096) % ctx.p,
         _TABLE_4_3),
@@ -110,7 +106,7 @@ def _lhs_4_4(ctx: Ctx) -> int:
 register(Statement(
     id="thm-4.4",
     status="disputed",
-    applies=lambda p: p > 5,
+    applies=Applies(lo=7),
     check=row_check(_lhs_4_4, _TABLE_4_4),
     notes="the rows as claimed fail at p = 11 (LHS 0, row -5^{(p+1)/4}) and at"
           " 17, 19, 23, ...; the mismatch is reported as data, not repaired",
@@ -126,8 +122,7 @@ def _check_thm_4_5(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="thm-4.5",
-    status="verified",
-    applies=lambda p: p % 20 == 11,
+    applies=Applies(20, (11,)),
     check=_check_thm_4_5,
 ))
 
@@ -145,8 +140,7 @@ def _check_thm_4_6(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="thm-4.6",
-    status="verified",
-    applies=lambda p: p % 24 == 13,
+    applies=Applies(24, (13,)),
     check=_check_thm_4_6,
 ))
 
@@ -162,11 +156,10 @@ def _check_eq_4_1(ctx: Ctx, params) -> Outcome:
 
 register(Statement(
     id="eq-4.1",
-    status="verified",
-    applies=lambda p: 2 < p <= 1001,
+    applies=Applies(cap=2 * RECURRENCE_INDEX_LIMIT + 1),
     check=_check_eq_4_1,
-    notes="prime-free integer identities; capped so exact rows stay cheap,"
-          " the direct sweep over all n lives in the tests",
+    notes="prime-free integer identities; capped where n = (p-1)/2 reaches the"
+          " guard of t_recurrences_check, the direct sweep over all n lives in the tests",
 ))
 
 
@@ -186,8 +179,7 @@ def _make_eq_closed(sid: str, m: int):
 
     register(Statement(
         id=sid,
-        status="verified",
-        applies=lambda p: 2 < p <= 1999,
+        applies=Applies(cap=1999),  # a cost choice: T_SUM_INDEX_LIMIT allows p < 4000
         check=_check,
         notes="prime-free integer identity evaluated at n = (p-1)/2 and"
               " (p+1)/2; the direct sweep over all n lives in the tests",
@@ -216,7 +208,7 @@ def _check_delta5(ctx: Ctx, params) -> Outcome:
 register(Statement(
     id="delta5-family",
     status="disputed",
-    applies=lambda p: 5 < p <= 2000,
+    applies=Applies(lo=7, cap=2000),  # a cost choice, not a guard
     check=_check_delta5,
     notes="the closed forms for the class sums mod 5 hold for even n but fail"
           " for every odd n (n = 1 gives 3 vs -2), and the rows at"
