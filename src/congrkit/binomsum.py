@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd, isqrt, prod
 from operator import mod, mul, sub
 from struct import Struct
@@ -249,6 +249,16 @@ def binom_shift_lemma_check(which: str, p: int) -> bool:
     L2.2: C([p/4]+k, [p/4]-k) = C(4k, 2k) / (-64)^k
     L2.3: C((p-1)/2, k)       = C(2k, k)  / (-4)^k
     L3.1: C([p/3]+k, [p/3]-k) = C(3k, k)  / (-27)^k
+
+    Both sides are multiplied by ((a-b)k)!: (2k)! in L2.2 and L3.1, where
+    2k <= 2[p/3] < p, and k! in L2.3, where k <= (p-1)/2, so a unit mod p
+    and the verdict at each k is unchanged.  With n0 = [p/a] this leaves:
+
+    L2.2: (n0+k)!/(n0-k)! = (4k)!/(2k)! (-64)^-k
+    L2.3: n0!/(n0-k)!     = (2k)!/k!    (-4)^-k
+    L3.1: (n0+k)!/(n0-k)! = (3k)!/k!    (-27)^-k
+
+    so each k reads one row entry per factorial, walked along the tables.
     """
     if which not in _SHIFT_LEMMAS:
         raise OutOfRangeError(f"unknown lemma {which!r}")
@@ -258,20 +268,16 @@ def binom_shift_lemma_check(which: str, p: int) -> bool:
         raise OutOfRangeError(f"{which} needs C({a}k, {b}k) with {a}k < p = {p}")
     t = mod_tables(p)
     fact, inv_fact = t.fact, t.inv_fact
-    c = a - b
     inv_s = inv_mod(s, p)
     sk = 1
-    if which == "L2.3":
-        top = fact[n0]
-        for k in range(1, n0 + 1):
-            sk = sk * inv_s % p
-            if (top * inv_fact[k] % p * inv_fact[n0 - k] % p
-                    != fact[a * k] * inv_fact[b * k] % p * inv_fact[c * k] % p * sk % p):
-                return False
-        return True
-    for k in range(1, n0 + 1):
+    # islice walks the rows in place; sliced copies would hold up to 1.5 p
+    # more pointers beside the tables
+    tops = repeat(fact[n0], n0) if which == "L2.3" else islice(fact, n0 + 1, 2 * n0 + 1)
+    lows = islice(reversed(inv_fact), p - n0, None)  # inv_fact[n0 - 1], ..., inv_fact[0]
+    nums = islice(fact, a, a * n0 + 1, a)
+    dens = islice(inv_fact, b, b * n0 + 1, b)
+    for top, low, num, den in zip(tops, lows, nums, dens):
         sk = sk * inv_s % p
-        if (fact[n0 + k] * inv_fact[n0 - k] % p * inv_fact[2 * k] % p
-                != fact[a * k] * inv_fact[b * k] % p * inv_fact[c * k] % p * sk % p):
+        if top * low % p != num * den % p * sk % p:
             return False
     return True

@@ -26,8 +26,8 @@ def uv_mod(P: int, Q: int, n: int, p: int) -> tuple[int, int]:
     Q %= p
     inv2 = (p + 1) // 2  # inverse of 2 mod an odd p
     disc = (P * P - 4 * Q) % p
-    u, v, qn = 0, 2 % p, 1  # state at index m, plus Q^m
-    for bit in bin(n)[2:]:
+    u, v, qn = 1, P, Q  # state at index m, plus Q^m; m = 1 is n's leading bit
+    for bit in bin(n)[3:]:
         u, v, qn = u * v % p, (v * v - 2 * qn) % p, qn * qn % p
         if bit == "1":
             u, v, qn = (

@@ -18,7 +18,6 @@ import random
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from math import gcd, inf
-from multiprocessing import get_context
 from typing import Any, Callable
 
 from ..binomsum import LUCAS_SCALES, TABLE_PRIME_LIMIT, ModTables, check_diag, lucas_sum, mod_tables
@@ -488,6 +487,8 @@ def verify_many(
     if jobs <= 1 or len(primes) < 16:
         parts = [_sweep((ids, primes, prime_limit, seed, fail_fast))]
     else:
+        from multiprocessing import get_context  # only here: a serial run skips its import
+
         tasks = [(ids, chunk, prime_limit, seed, fail_fast) for chunk in _split(primes, jobs)]
         with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
             # the last chunks hold the largest primes and cost the most:

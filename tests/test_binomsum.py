@@ -89,7 +89,8 @@ def test_sum_rejects_bad_denominator():
 @pytest.mark.parametrize("which", ["L2.2", "L2.3", "L3.1"])
 def test_shift_lemmas_hold(which):
     skip3 = which == "L3.1"
-    for p in sieve_primes(500)[1:]:
+    big = [q for q in range(100_000, 100_170) if is_prime(q)]
+    for p in sieve_primes(3000)[1:] + big:
         if skip3 and p == 3:
             continue
         assert binom_shift_lemma_check(which, p)

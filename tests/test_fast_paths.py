@@ -6,8 +6,10 @@ Lucas's theorem; the oracle reads all p - 1 terms through base-p digits.
 `sum_diag_pow` runs Horner on packed integer lanes; the oracle is the scalar
 Horner loop.  `lucas_sum` takes the sums of C(4k, 2k) and C(3k, k) from one
 Lucas pair; the oracle is `sum_diag_pow` on the tables, the only other path
-of `Ctx.sum_binom`.  The shift lemmas read the factorial tables directly; a
-corrupted table entry must make them fail.  `ModTables` takes 1/k! from
+of `Ctx.sum_binom`.  The shift lemmas read the factorial tables directly,
+cancelling a unit factorial from both sides; the oracle is the loop that
+computed both binomials in full, and a corrupted table entry must make
+them fail.  `ModTables` takes 1/k! from
 (p-1-k)! by Wilson's reflection; the oracle is the two-loop build, k! by a
 forward loop and 1/k! by a backward loop down from 1/(p-1)!.
 `classify_by_class` reduces the one form [p, b, (b^2 - D)/4p]; the oracle
@@ -40,6 +42,8 @@ from congrkit.registry.engine import FormTable
 from congrkit.registry.statements_binom3 import _zps_sum
 
 PRIMES_5_2000 = [p for p in sieve_primes(2000) if p >= 5]
+BIG_PRIMES = [q for q in range(100_000, 100_170) if is_prime(q)]
+SHIFT_LEMMAS = [("L2.2", 4), ("L2.3", 2), ("L3.1", 3)]  # (name, a)
 
 
 def scan_roots(c3, c1, c0, p):
@@ -81,6 +85,31 @@ def two_loop_tables(p):
     for i in range(p - 1, 0, -1):
         inv_fact[i - 1] = inv_fact[i] * i % p
     return fact, inv_fact
+
+
+def shift_lemma_loop(which, p, t):
+    """binom_shift_lemma_check on the tables t, both binomials in full at
+    every k: six modular products a step, no factor cancelled."""
+    a, b, s = binomsum._SHIFT_LEMMAS[which]
+    n0 = p // a
+    fact, inv_fact = t.fact, t.inv_fact
+    c = a - b
+    inv_s = inv_mod(s, p)
+    sk = 1
+    if which == "L2.3":
+        top = fact[n0]
+        for k in range(1, n0 + 1):
+            sk = sk * inv_s % p
+            if (top * inv_fact[k] % p * inv_fact[n0 - k] % p
+                    != fact[a * k] * inv_fact[b * k] % p * inv_fact[c * k] % p * sk % p):
+                return False
+        return True
+    for k in range(1, n0 + 1):
+        sk = sk * inv_s % p
+        if (fact[n0 + k] * inv_fact[n0 - k] % p * inv_fact[2 * k] % p
+                != fact[a * k] * inv_fact[b * k] % p * inv_fact[c * k] % p * sk % p):
+            return False
+    return True
 
 
 def two_reduction_key(f):
@@ -193,10 +222,9 @@ def test_sum_diag_pow_matches_horner_on_the_registry_diagonals():
 def test_lucas_sums_match_the_tables():
     assert sorted(LUCAS_SCALES) == [(3, 1), (4, 2)]
     rng = random.Random(16)
-    big = [q for q in range(100_000, 100_170) if is_prime(q)]
-    assert len(big) == 12
+    assert len(BIG_PRIMES) == 12
     largest = next(q for q in range(TABLE_PRIME_LIMIT, 0, -1) if is_prime(q))
-    for p in sieve_primes(3000)[2:] + big + [largest]:
+    for p in sieve_primes(3000)[2:] + BIG_PRIMES + [largest]:
         t = ModTables(p)  # not mod_tables: its cache would keep the largest
         for m in (0, 1, p - 1, rng.randrange(p), rng.randrange(p)):
             for a, b in LUCAS_SCALES:
@@ -275,7 +303,7 @@ def test_a_lucas_scale_that_fails_its_proof_fails_at_import(scales, error):
              {"__name__": "congrkit.binomsum", "__package__": "congrkit"})
 
 
-@pytest.mark.parametrize("which, a", [("L2.2", 4), ("L2.3", 2), ("L3.1", 3)])
+@pytest.mark.parametrize("which, a", SHIFT_LEMMAS)
 def test_shift_lemmas_fail_on_a_corrupted_table(monkeypatch, which, a):
     # the lemma reads inv_fact[n0 - k] for k = 1..n0, so each of these
     # entries is read at some k; only at k = n0/2 in L2.3 do both sides read
@@ -289,6 +317,65 @@ def test_shift_lemmas_fail_on_a_corrupted_table(monkeypatch, which, a):
         t.inv_fact[i] = (t.inv_fact[i] + 1) % p
         monkeypatch.setattr(binomsum, "mod_tables", lambda q: t)
         assert not binom_shift_lemma_check(which, p), i
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("which, a", SHIFT_LEMMAS)
+def test_shift_lemma_check_refuses_a_wrong_scale(monkeypatch, which, a, shift):
+    # at k = 1 the sides differ by s/(s + shift), a unit unless p | s + shift,
+    # where both refuse the scale; from p = 5 on, n0 >= 1 for every lemma
+    b, s = binomsum._SHIFT_LEMMAS[which][1:]
+    monkeypatch.setitem(binomsum._SHIFT_LEMMAS, which, (a, b, s + shift))
+    for p in sieve_primes(3000)[2:] + BIG_PRIMES:
+        if (s + shift) % p == 0:
+            with pytest.raises(ZeroInverseError):
+                binom_shift_lemma_check(which, p)
+            with pytest.raises(ZeroInverseError):
+                shift_lemma_loop(which, p, mod_tables(p))
+        else:
+            assert not binom_shift_lemma_check(which, p), p
+            assert not shift_lemma_loop(which, p, mod_tables(p)), p
+
+
+@pytest.mark.parametrize("p", [101, 103])
+@pytest.mark.parametrize("which, a", SHIFT_LEMMAS)
+def test_shift_lemmas_agree_with_the_loop_on_a_corrupted_fact(monkeypatch, which, a, p):
+    # cancelling ((a-b)k)! drops reads of inv_fact only: every fact entry
+    # the loop reads is still read, so each corruption gets the same verdict.
+    # An entry read on both sides at one k, n0 + k = ak, cancels there and
+    # is read nowhere else (L3.1 at p = 103: fact[51] at k = 17)
+    n0 = p // a
+    tops = {n0} if which == "L2.3" else set(range(n0 + 1, 2 * n0 + 1))
+    read = tops | set(range(a, a * n0 + 1, a))
+    both_sides = {n0 + k for k in range(1, n0 + 1) if which != "L2.3" and n0 + k == a * k}
+    missed = set()
+    for i in sorted(read):
+        t = ModTables(p)
+        t.fact[i] = (t.fact[i] + 1) % p
+        monkeypatch.setattr(binomsum, "mod_tables", lambda q: t)
+        got = binom_shift_lemma_check(which, p)
+        assert got == shift_lemma_loop(which, p, t), i
+        if got:
+            missed.add(i)
+    assert missed == both_sides
+
+
+@pytest.mark.parametrize("p", [101, 103])
+@pytest.mark.parametrize("which, a", SHIFT_LEMMAS)
+def test_shift_lemmas_catch_every_inv_fact_corruption_the_loop_catches(monkeypatch, which, a, p):
+    # the cancelled 1/((a-b)k)! sits on both sides of the loop at one k, so
+    # a wrong value there, even 0, can only make the loop pass; every entry
+    # the loop reads, off by one or zeroed, that fails it fails the check too
+    n0 = p // a
+    b = binomsum._SHIFT_LEMMAS[which][1]
+    ks = range(1, n0 + 1)
+    read = {n0 - k for k in ks} | {b * k for k in ks} | {(a - b) * k for k in ks}
+    for i in sorted(read):
+        for bad in ((lambda x: (x + 1) % p), (lambda x: 0)):
+            t = ModTables(p)
+            t.inv_fact[i] = bad(t.inv_fact[i])
+            monkeypatch.setattr(binomsum, "mod_tables", lambda q: t)
+            assert binom_shift_lemma_check(which, p) <= shift_lemma_loop(which, p, t), i
 
 
 def test_class_key_matches_the_two_reductions():

@@ -1,7 +1,7 @@
 """Lucas sequence evaluation, exact and modular."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from congrkit.errors import IndexTooLargeError, OutOfRangeError
 from congrkit.lucas import lucas_uv_exact, uv_mod
@@ -24,6 +24,19 @@ def test_exact_index_guard():
 
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(0, 200),
        st.sampled_from(sieve_primes(200)[1:]))
+# the ladder starts at index 1, so its first indices at p = 3 are pinned, as
+# are P = 0, Q = 0, both 0 mod p, and P^2 = 4Q (a zero discriminant)
+@example(1, -1, 0, 3)
+@example(1, -1, 1, 3)
+@example(2, 5, 2, 3)
+@example(4, 1, 3, 3)
+@example(0, 1, 7, 5)
+@example(3, 0, 9, 7)
+@example(0, 0, 4, 3)
+@example(3, 6, 5, 3)
+@example(2, 1, 10, 3)
+@example(-4, 4, 11, 7)
+@example(6, 9, 60, 101)
 def test_uv_mod_matches_exact(P, Q, n, p):
     u, v = uv_mod(P, Q, n, p)
     ue, ve = lucas_uv_exact(P, Q, n)

@@ -1,6 +1,9 @@
 """Statement registry: verdicts, reports, determinism, case tables."""
 
 import json
+import multiprocessing
+import subprocess
+import sys
 
 import pytest
 
@@ -306,7 +309,7 @@ def test_pool_size_is_bounded(monkeypatch):
         Pool = InProcessPool
 
     want = reports_json(verify_many(["thm-2.1"], 400, jobs=1))
-    monkeypatch.setattr(engine, "get_context", lambda method: Context())
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
     assert reports_json(verify_many(["thm-2.1"], 400, jobs=10**6)) == want
     # 45 odd primes to 200 split into 6 chunks of 8
@@ -316,6 +319,13 @@ def test_pool_size_is_bounded(monkeypatch):
     monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
     assert reports_json(verify_many(["thm-2.1"], 400, jobs=8)) == want
     assert asked == [4, 6]
+
+
+def test_importing_the_registry_leaves_multiprocessing_unloaded():
+    # verify_many imports it only on its pool path
+    code = "import sys, congrkit.registry; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_many_agrees_with_check_statement():
