@@ -1,7 +1,7 @@
 """Binomial coefficients mod p and truncated sums sum_k C(ak, bk) m^k.
 
 Sums of this shape with upper limit about p/a are the left-hand sides of
-most statements in the registry.  They are evaluated in one of two ways.
+most statements in the registry.  They are evaluated in one of three ways.
 
 lucas_sum takes the sums of C(4k, 2k) and C(3k, k) to the default upper
 limit n = [p/a] in O(log p) steps.  Lemmas 2.2 and 3.1 of the paper give
@@ -10,6 +10,15 @@ sum is the Morgan-Voyce value b_n(s m) = U_{n+1}(sm+2, 1) - U_n(sm+2, 1),
 one uv_mod call.  The lemmas are proved once at import, for every odd
 prime not dividing a, from the term ratios of both sides.
 
+ring_sum takes the sums of C(2bk, bk), for every b, and of C(6k, 2k) to
+[p/a] by powering in a small quotient ring, O(b^2 log p) steps.  Lemma 2.3
+gives C(2j, j) = (-4)^j C(h, j) mod p for j <= h = (p-1)/2 (proved at
+import like the lemmas above), so with y = (-4)^b m the sum is
+sum_k C(h, bk) y^k, the t^0 coefficient of (1+t)^h mod t^b - y.  The
+diagonal C(6k, 2k) is C(3j, j) at even j, so by Lemma 3.1 its sum is the
+even part of b_n(z) at n = [p/3], z^2 = 729 m: the s^0 coefficient of
+b_n(s) in F_p[s]/(s^2 - 729 m), by the Lucas ladder over that ring.
+
 ModTables builds factorial tables for one prime, so each C(ak, bk) costs
 two multiplications.  A whole sum is a Horner pass run on packed integer
 lanes: the diagonal C(ak, bk), k = 0..upper, is cut into chunks of
@@ -17,7 +26,7 @@ J ~ sqrt(upper) terms, each chunk packed into one Python int with a 72-bit
 lane per term, so one big-integer multiply advances J Horner passes at once
 (word-parallel arithmetic, Knuth TAOCP 4A, 7.1.3).  Any diagonal, m and
 upper limit works, but the O(p) tables and the diagonal are paid again at
-every prime.
+every prime; they serve the other diagonals and explicit upper limits.
 """
 
 from __future__ import annotations
@@ -155,6 +164,86 @@ def lucas_sum(a: int, b: int, m: int, p: int) -> int:
     return ((P * u + v) * ((p + 1) // 2) - u) % p
 
 
+# s with C(2j, j) = s^j C(h, j) mod p for j <= h = (p-1)/2: Lemma 2.3, proved
+# by _prove_central_scale below
+CENTRAL_SCALE = -4
+
+
+def _prove_central_scale() -> None:
+    """Raise ImportError unless h = -1/2 makes the term ratio of C(2j, j)
+    that of s^j C(h, j):
+
+        (2j+1)(2j+2) / (j+1)^2 = s (h-j) / (j+1).
+
+    Cleared of denominators both sides are quadratics in j, so 3 points
+    decide it.  At an odd prime p the integer h = (p-1)/2 is -1/2 mod p,
+    and for j < h every denominator j+1 is a unit, so from j = 0, where
+    both terms are 1, the terms agree mod p up to j = h."""
+    h = Fraction(-1, 2)
+    for j in range(3):
+        if (2 * j + 1) * (2 * j + 2) != CENTRAL_SCALE * (h - j) * (j + 1):
+            raise ImportError(
+                f"C(2j, j) is not ({CENTRAL_SCALE})^j C(h, j) at h = {h}, j = {j}")
+
+
+_prove_central_scale()
+
+
+@lru_cache(maxsize=32)
+def _slots(count: int) -> Struct:
+    """count little-endian 64-bit slots, lowest first."""
+    return Struct(f"<{count}Q")
+
+
+def ring_sum_takes(a: int, b: int) -> bool:
+    """Whether ring_sum sums the diagonal C(ak, bk): a = 2b > 0, or (6, 2)."""
+    return a == 2 * b > 0 or (a, b) == (6, 2)
+
+
+def ring_sum(a: int, b: int, m: int, p: int) -> int:
+    """sum_{k<=[p/a]} C(ak, bk) m^k mod the odd prime p, for the diagonals
+    of ring_sum_takes and m a residue; refused where ModTables refuses it,
+    and for any other diagonal."""
+    if not ring_sum_takes(a, b):
+        raise OutOfRangeError(f"no ring sum for C({a}k, {b}k)")
+    check_diag(a, b, p // a, p)
+    if (a, b) == (6, 2):
+        # b_n(s) = U_{n+1} - U_n at P = s + 2, Q = 1, over F_p[s]/(s^2 - w):
+        # each of U, V is a pair (c0, c1) = c0 + c1 s, and P^2 - 4 = w + 4s
+        w = LUCAS_SCALES[3, 1] ** 2 * m % p
+        inv2 = (p + 1) // 2
+        u0, u1, v0, v1 = 1, 0, 2, 1  # U_1 = 1, V_1 = P; 1 is n's leading bit
+        for bit in bin(p // 3)[3:]:
+            u0, u1, v0, v1 = ((u0 * v0 + w * u1 * v1) % p, (u0 * v1 + u1 * v0) % p,
+                              (v0 * v0 + w * v1 * v1 - 2) % p, 2 * v0 * v1 % p)
+            if bit == "1":
+                # U_{k+1} = (P U_k + V_k)/2, V_{k+1} = (P V_k + (w + 4s) U_k)/2
+                u0, u1, v0, v1 = ((2 * u0 + w * u1 + v0) * inv2 % p,
+                                  (u0 + 2 * u1 + v1) * inv2 % p,
+                                  (2 * v0 + w * v1 + w * u0 + 4 * w * u1) * inv2 % p,
+                                  (v0 + 2 * v1 + w * u1 + 4 * u0) * inv2 % p)
+        # the s^0 part of U_{n+1} - U_n = (P U_n + V_n)/2 - U_n
+        return (w * u1 + v0) * inv2 % p
+    # (1+t)^h mod t^b - y by squaring: the b coefficients are packed in
+    # 64-bit slots, so one big-int product squares them all (Kronecker
+    # substitution).  A square times 1 + t has 2b slots, each a sum of at
+    # most 2b products of residues, below 2b (p-1)^2 < 2^64
+    if 2 * b * (p - 1) ** 2 >> 64:
+        raise OutOfRangeError(f"C({a}k, {b}k) at p = {p} overflows the 64-bit slots")
+    y = pow(CENTRAL_SCALE, b, p) * m % p
+    wide, narrow = _slots(2 * b), _slots(b)
+    v = 1
+    for bit in bin((p - 1) // 2)[2:]:
+        v *= v
+        if bit == "1":
+            v += v << 64
+        slot = wide.unpack(v.to_bytes(16 * b, "little"))
+        # t^(b+i) = y t^i
+        coeffs = [(lo + y * hi) % p for lo, hi in zip(slot[:b], slot[b:])]
+        v = int.from_bytes(narrow.pack(*coeffs), "little")
+    return coeffs[0]
+
+
 class ModTables:
     """Factorial and inverse-factorial tables for one odd prime."""
 
@@ -235,10 +324,10 @@ def mod_tables(p: int) -> ModTables:
 
 _SHIFT_LEMMAS = {
     # name -> (a, b, scale s); the shift base is n0 = [p/a], and
-    # binom_shift_lemma_check spells out each identity.  L2.2 and L3.1 read
-    # the scales that _prove_lucas_scales proved at import
+    # binom_shift_lemma_check spells out each identity.  Each reads the scale
+    # that _prove_lucas_scales or _prove_central_scale proved at import
     "L2.2": (4, 2, LUCAS_SCALES[4, 2]),
-    "L2.3": (2, 1, -4),
+    "L2.3": (2, 1, CENTRAL_SCALE),
     "L3.1": (3, 1, LUCAS_SCALES[3, 1]),
 }
 

@@ -108,10 +108,17 @@ def t_recurrences_check(n: int, m: int) -> bool:
 
 
 def _lucas_number(n: int) -> int:
-    """Exact Lucas number L_n, unguarded internal iteration."""
-    a, b = 2, 1  # L_0, L_1
-    for _ in range(n):
-        a, b = b, a + b
+    """Exact Lucas number L_n for n >= 0, by index doubling from
+    (L_k, L_{k+1}): L_{2k} = L_k^2 - 2(-1)^k, L_{2k+1} = L_k L_{k+1} - (-1)^k
+    and L_{2k+2} = L_{k+1}^2 + 2(-1)^k."""
+    if n < 0:
+        raise OutOfRangeError(f"Lucas index must be non-negative, got {n}")
+    a, b, sign = 2, 1, 1  # L_k, L_{k+1}, (-1)^k at k = 0
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            a, b, sign = a * b - sign, b * b + 2 * sign, -1
+        else:
+            a, b, sign = a * a - 2 * sign, a * b - sign, 1
     return a
 
 

@@ -20,7 +20,16 @@ from functools import partial
 from math import gcd, inf
 from typing import Any, Callable
 
-from ..binomsum import LUCAS_SCALES, TABLE_PRIME_LIMIT, ModTables, check_diag, lucas_sum, mod_tables
+from ..binomsum import (
+    LUCAS_SCALES,
+    TABLE_PRIME_LIMIT,
+    ModTables,
+    check_diag,
+    lucas_sum,
+    mod_tables,
+    ring_sum,
+    ring_sum_takes,
+)
 from ..errors import (
     InvalidParametersError,
     OutOfRangeError,
@@ -45,9 +54,10 @@ class Ctx:
     the factorial tables from mod_tables, which holds one prime's and builds
     them on first read, so a prime where no check reads them builds none.
 
-    sum_binom takes every sum of C(4k, 2k) or C(3k, k) to the default upper
-    limit from lucas_sum, and every other sum from the prime's tables,
-    whatever the caller.
+    sum_binom takes these sums to the default upper limit [p/a] without
+    tables, whatever the caller: C(4k, 2k) and C(3k, k) from lucas_sum,
+    C(2bk, bk) for every other b and C(6k, 2k) from ring_sum.  Any other
+    diagonal, and any explicit upper limit, reads the prime's tables.
     """
 
     __slots__ = ("p", "_uv", "_two_sq")
@@ -87,6 +97,8 @@ class Ctx:
         if upper is None:
             if (a, b) in LUCAS_SCALES:
                 return lucas_sum(a, b, m, self.p)
+            if ring_sum_takes(a, b):
+                return ring_sum(a, b, m, self.p)
             upper = self.p // a
         check_diag(a, b, upper, self.p)  # before the O(p) tables are built
         return self.tables.sum_diag_pow(a, b, m, upper)

@@ -134,6 +134,21 @@ def test_compute_sum_takes_the_lucas_path_without_tables(capsys, table_builds):
     assert table_builds == []
 
 
+@pytest.mark.parametrize("a, b", [(8, 4), (6, 2)])
+def test_compute_sum_takes_the_ring_path_without_tables(capsys, table_builds, a, b):
+    # the default upper limit [p/a] takes ring_sum and builds no table; an
+    # explicit one reads the tables and prints the same value
+    p = 100_003
+    args = ["compute", "sum", "--a", str(a), "--b", str(b), "--num", "3", "--den", "5",
+            "--prime", str(p)]
+    assert main(args) == 0
+    got = capsys.readouterr().out.strip()
+    assert table_builds == []
+    assert main(args + ["--upper", str(p // a)]) == 0
+    assert table_builds == [p]
+    assert capsys.readouterr().out.strip() == got != "0"
+
+
 def test_compute_sum_refuses_a_long_diagonal_before_building_tables(capsys, table_builds):
     # 4 * 600000 reaches p = 1999993, which check_diag refuses before the
     # 2 * 10^6-entry tables are built

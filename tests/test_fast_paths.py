@@ -5,15 +5,17 @@ residue.  `intro-zps` sums C(3k,k) 2^k as two diagonal runs cut out by
 Lucas's theorem; the oracle reads all p - 1 terms through base-p digits.
 `sum_diag_pow` runs Horner on packed integer lanes; the oracle is the scalar
 Horner loop.  `lucas_sum` takes the sums of C(4k, 2k) and C(3k, k) from one
-Lucas pair; the oracle is `sum_diag_pow` on the tables, the only other path
-of `Ctx.sum_binom`.  The shift lemmas read the factorial tables directly,
+Lucas pair, and `ring_sum` those of C(2bk, bk) and C(6k, 2k) by powering in
+a quotient ring; the oracle of both is `sum_diag_pow` on the tables, the
+only other path of `Ctx.sum_binom`.  The shift lemmas read the factorial tables directly,
 cancelling a unit factorial from both sides; the oracle is the loop that
 computed both binomials in full, and a corrupted table entry must make
 them fail.  `ModTables` takes 1/k! from
 (p-1-k)! by Wilson's reflection; the oracle is the two-loop build, k! by a
 forward loop and 1/k! by a backward loop down from 1/(p-1)!.
 `classify_by_class` reduces the one form [p, b, (b^2 - D)/4p]; the oracle
-runs `represent` on every class of the target list.
+runs `represent` on every class of the target list.  `combsum._lucas_number`
+doubles the index; the oracle steps L_{k+1} = L_k + L_{k-1} one k at a time.
 """
 
 import inspect
@@ -22,7 +24,7 @@ import random
 
 import pytest
 
-from congrkit import binomsum
+from congrkit import binomsum, combsum
 from congrkit.binomsum import (
     LUCAS_SCALES,
     TABLE_PRIME_LIMIT,
@@ -32,6 +34,7 @@ from congrkit.binomsum import (
     lucas_sum,
     mod_tables,
     pack_lanes,
+    ring_sum,
 )
 from congrkit.errors import NoneRepresentsError, OutOfRangeError, ZeroInverseError
 from congrkit.modarith import inv_mod, is_prime, sieve_primes
@@ -141,6 +144,8 @@ def form_tables():
 
 # every (a, b) whose diagonal the registry sums
 REGISTRY_DIAGONALS = [(3, 1), (4, 2), (6, 2), (6, 3), (8, 4), (10, 5), (12, 6), (20, 10), (24, 12)]
+# the diagonals ring_sum takes in the registry, and C(2k, k)
+RING_DIAGONALS = [(2, 1), (6, 2), (6, 3), (8, 4), (10, 5), (12, 6), (20, 10), (24, 12)]
 
 
 def test_cubic_roots_on_the_registry_families():
@@ -231,6 +236,27 @@ def test_lucas_sums_match_the_tables():
                 assert lucas_sum(a, b, m, p) == t.sum_diag_pow(a, b, m, p // a), (p, a, b, m)
 
 
+def test_ring_sums_match_the_tables():
+    # from p = 3, where [p/a] = 0 or h = (p-1)/2 < b for most diagonals
+    rng = random.Random(21)
+    largest = next(q for q in range(TABLE_PRIME_LIMIT, 0, -1) if is_prime(q))
+    for p in sieve_primes(3000)[1:] + [100_003, 100_019, largest]:
+        t = ModTables(p)  # not mod_tables: its cache would keep the largest
+        for m in (0, 1, p - 1, rng.randrange(1, p)):
+            for a, b in RING_DIAGONALS:
+                assert ring_sum(a, b, m, p) == t.sum_diag_pow(a, b, m, p // a), (p, a, b, m)
+
+
+@pytest.mark.parametrize("a, b, p", [
+    (3, 2, 101),  # neither a = 2b nor (6, 2)
+    (0, 0, 101),
+    (24, 12, 1_000_000_007),  # 24 (p-1)^2 >= 2^64: past the 64-bit slots
+])
+def test_ring_sum_refuses_what_it_cannot_take(a, b, p):
+    with pytest.raises(OutOfRangeError):
+        ring_sum(a, b, 1, p)
+
+
 @pytest.mark.parametrize("a, b, den, upper, error", [
     (3, 4, 1, 10, OutOfRangeError),
     (3, -1, 1, 10, OutOfRangeError),
@@ -248,7 +274,9 @@ def test_both_sum_paths_share_one_diagonal_check(monkeypatch):
     # tables, read through an explicit one, refuse: 3 * [3/3] reaching
     # p = 3, and p | den
     for p, a, b, den, error in ((3, 3, 1, 1, OutOfRangeError), (101, 4, 2, 202, ZeroInverseError),
-                                (101, 3, 1, -101, ZeroInverseError)):
+                                (101, 3, 1, -101, ZeroInverseError),
+                                (101, 8, 4, 202, ZeroInverseError),
+                                (101, 6, 2, -101, ZeroInverseError)):
         ctx = Ctx(p)
         with pytest.raises(error):
             ctx.sum_binom(a, b, 1, den, p // a)
@@ -266,6 +294,9 @@ def test_both_sum_paths_share_one_diagonal_check(monkeypatch):
         ModTables(101).sum_diag_pow(3, 1, 1, 10)
     with pytest.raises(Refused):
         lucas_sum(3, 1, 1, 101)
+    for a, b in ((8, 4), (6, 2)):
+        with pytest.raises(Refused):
+            ring_sum(a, b, 1, 101)
 
 
 def test_packed_lanes_at_the_largest_table_prime():
@@ -299,6 +330,17 @@ def test_a_lucas_scale_that_fails_its_proof_fails_at_import(scales, error):
     assert line in source
     source = source.replace(line, f"\nLUCAS_SCALES = {scales}\n")
     with pytest.raises(ImportError, match=error):
+        exec(compile(source, binomsum.__file__, "exec"),
+             {"__name__": "congrkit.binomsum", "__package__": "congrkit"})
+
+
+@pytest.mark.parametrize("scale", [4, -2, -5])
+def test_a_central_scale_that_fails_its_proof_fails_at_import(scale):
+    source = inspect.getsource(binomsum)
+    line = "\nCENTRAL_SCALE = -4\n"
+    assert line in source
+    source = source.replace(line, f"\nCENTRAL_SCALE = {scale}\n")
+    with pytest.raises(ImportError, match=rf"C\(2j, j\) is not \({scale}\)\^j"):
         exec(compile(source, binomsum.__file__, "exec"),
              {"__name__": "congrkit.binomsum", "__package__": "congrkit"})
 
@@ -407,3 +449,12 @@ def test_classify_by_class_matches_the_class_search():
 def test_classify_by_class_refuses_a_p_that_is_not_an_odd_prime(p):
     with pytest.raises(OutOfRangeError):
         classify_by_class(p, -207, [QuadForm(1, 1, 52)])
+
+
+def test_lucas_numbers_by_doubling_match_the_loop():
+    a, b = 2, 1  # L_n, L_{n+1}
+    for n in range(2101):
+        assert combsum._lucas_number(n) == a, n
+        a, b = b, a + b
+    with pytest.raises(OutOfRangeError):
+        combsum._lucas_number(-1)

@@ -87,43 +87,42 @@ def test_check_statement_refuses_p_above_the_limit(sid, applies):
         check_statement(sid, _ABOVE_LIMIT)
 
 
+# ids that sum only C(4k, 2k) or C(3k, k) (lucas_sum), or C(2bk, bk) for
+# b >= 3 and C(6k, 2k) (ring_sum), each to [p/a]; thm-3.10 and thm-2.12 are
+# sampled
+TABLE_FREE_SUMS = ("thm-3.8", "thm-3.10", "thm-2.12", "cor-2.7", "intro-1.4", "thm-3.4",
+                   "thm-4.1", "thm-4.2", "thm-4.3", "thm-4.4", "thm-4.5", "thm-4.6")
+
+
 def test_tables_are_built_only_where_a_check_reads_them(table_builds):
     built = table_builds
-    # thm-3.8 (no sampler) and thm-3.10 (sampled) sum only C(4k, 2k) or
-    # C(3k, k) to [p/a], which lucas_sum takes without tables: in a serial
-    # sweep, in a pool chunk that starts above the first prime and through
+    # sums to [p/a] on these diagonals take no table: in a serial sweep, in
+    # a pool chunk that starts above the first prime and through
     # check_statement alike
     chunk = [q for q in range(1000, 2000) if is_prime(q)]
-    for sid in ("thm-3.8", "thm-3.10"):
-        report = verify_many([sid], 2000)[0]
-        assert report.checked > 0 and report.not_applicable > 0
-        report = engine._sweep(([sid], chunk, 2000, 0, False))[sid]
-        assert report.checked > 0
-        assert check_statement(sid, 1987).outcome == "Pass"
+    for report in verify_many(TABLE_FREE_SUMS, 2000):
+        assert report.checked > 0, report.id
+    for sid, report in engine._sweep((TABLE_FREE_SUMS, chunk, 2000, 0, False)).items():
+        assert report.checked > 0, sid
+    for sid in TABLE_FREE_SUMS:
+        p = next(q for q in chunk if engine.REGISTRY[sid].applies(q))
+        assert check_statement(sid, p).outcome != "NotApplicable", sid
     assert built == []
-    # thm-4.1 (no sampler) sums C(6k, 3k), which only the tables give: a
-    # serial sweep, a pool chunk that starts above the first prime and
+    # lem-2.3 (no sampler) reads the tables at every odd prime: a serial
+    # sweep, a pool chunk that starts above the first prime and
     # check_statement build them at exactly the primes where it applies
-    applies = engine.REGISTRY["thm-4.1"].applies
-    report = verify_many(["thm-4.1"], 2000)[0]
+    applies = engine.REGISTRY["lem-2.3"].applies
+    report = verify_many(["lem-2.3"], 2000)[0]
     assert built == [q for q in range(3, 2000) if is_prime(q) and applies(q)]
     assert len(built) == report.checked > 0
     serial = [q for q in built if q in chunk]
     built.clear()
-    report = engine._sweep((["thm-4.1"], chunk, 2000, 0, False))["thm-4.1"]
+    report = engine._sweep((["lem-2.3"], chunk, 2000, 0, False))["lem-2.3"]
     assert built == serial == [q for q in chunk if applies(q)]
     assert len(built) == report.checked > 0
     built.clear()
-    assert check_statement("thm-4.1", 1987).outcome == "Pass"
+    assert check_statement("lem-2.3", 1987).outcome == "Pass"
     assert built == [1987]
-    # sampled sums on another diagonal read the tables at each prime where a
-    # check runs; at p = 5 no drawn a is admissible, so nothing is checked
-    built.clear()
-    report = verify_many(["thm-2.12"], 2000)[0]
-    applies = engine.REGISTRY["thm-2.12"].applies
-    assert built == [p for p in range(7, 2000) if is_prime(p) and applies(p)]
-    assert len(built) == report.checked > 0
-    assert applies(5) and report.not_applicable > 0
 
 
 def test_a_shared_ctx_builds_its_tables_at_most_once(table_builds):
@@ -134,7 +133,7 @@ def test_a_shared_ctx_builds_its_tables_at_most_once(table_builds):
 
 def test_the_caches_hold_one_prime_s_state(table_builds):
     for q in (101, 103, 107):
-        check_statement("thm-4.1", q)
+        check_statement("lem-2.3", q)
     assert table_builds == [101, 103, 107] and mod_tables.cache_info().currsize == 1
     verify_many(["eq-4.2", "delta5-family"], 600)
     assert combsum._binom_row.cache_info().currsize <= 2
