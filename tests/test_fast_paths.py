@@ -7,10 +7,10 @@ Lucas's theorem; the oracle reads all p - 1 terms through base-p digits.
 Horner loop.  `lucas_sum` takes the sums of C(4k, 2k) and C(3k, k) from one
 Lucas pair, and `ring_sum` those of C(2bk, bk) and C(6k, 2k) by powering in
 a quotient ring; the oracle of both is `sum_diag_pow` on the tables, the
-only other path of `Ctx.sum_binom`.  The shift lemmas read the factorial tables directly,
-cancelling a unit factorial from both sides; the oracle is the loop that
-computed both binomials in full, and a corrupted table entry must make
-them fail.  `ModTables` takes 1/k! from
+only other path of `Ctx.sum_binom`.  The shift lemmas read the factorial
+tables directly, cancelling a unit factorial from both sides; the oracle is
+the loop that computed both binomials in full, and a corrupted table entry
+must make them fail.  `ModTables` takes 1/k! from
 (p-1-k)! by Wilson's reflection; the oracle is the two-loop build, k! by a
 forward loop and 1/k! by a backward loop down from 1/(p-1)!.
 `classify_by_class` reduces the one form [p, b, (b^2 - D)/4p]; the oracle
