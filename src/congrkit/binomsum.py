@@ -14,10 +14,12 @@ ring_sum takes the sums of C(2bk, bk), for every b, and of C(6k, 2k) to
 [p/a] by powering in a small quotient ring, O(b^2 log p) steps.  Lemma 2.3
 gives C(2j, j) = (-4)^j C(h, j) mod p for j <= h = (p-1)/2 (proved at
 import like the lemmas above), so with y = (-4)^b m the sum is
-sum_k C(h, bk) y^k, the t^0 coefficient of (1+t)^h mod t^b - y.  The
-diagonal C(6k, 2k) is C(3j, j) at even j, so by Lemma 3.1 its sum is the
-even part of b_n(z) at n = [p/3], z^2 = 729 m: the s^0 coefficient of
-b_n(s) in F_p[s]/(s^2 - 729 m), by the Lucas ladder over that ring.
+sum_k C(h, bk) y^k, the t^0 coefficient of (1+t)^h mod t^b - y.  Where
+b^2 > h it has fewer than b terms, and they are walked instead, in O(h)
+steps with no table.  The diagonal C(6k, 2k) is C(3j, j) at even j, so by
+Lemma 3.1 its sum is the even part of b_n(z) at n = [p/3], z^2 = 729 m:
+the s^0 coefficient of b_n(s) in F_p[s]/(s^2 - 729 m), by the Lucas
+ladder over that ring.
 
 ModTables builds factorial tables for one prime, so each C(ak, bk) costs
 two multiplications.  A whole sum is a Horner pass run on packed integer
@@ -196,7 +198,8 @@ def _slots(count: int) -> Struct:
 
 
 def ring_sum_takes(a: int, b: int) -> bool:
-    """Whether ring_sum sums the diagonal C(ak, bk): a = 2b > 0, or (6, 2)."""
+    """Whether ring_sum sums the diagonal C(ak, bk): a = 2b > 0, or (6, 2).
+    Ctx.sum_binom sends (4, 2) to lucas_sum, which it checks first."""
     return a == 2 * b > 0 or (a, b) == (6, 2)
 
 
@@ -224,16 +227,29 @@ def ring_sum(a: int, b: int, m: int, p: int) -> int:
                                   (v0 + 2 * v1 + w * u1 + 4 * u0) * inv2 % p)
         # the s^0 part of U_{n+1} - U_n = (P U_n + V_n)/2 - U_n
         return (w * u1 + v0) * inv2 % p
+    h = (p - 1) // 2
+    y = pow(CENTRAL_SCALE, b, p) * m % p
+    if h // b < b:
+        # fewer terms than slots: squaring b-slot ints would cost more than
+        # the h steps of C(h, j) = C(h, j-1) (h-j+1)/j; at b > h only k = 0
+        # is left, and the sum is 1
+        total = yk = num = den = 1
+        for k in range(1, h // b + 1):
+            for j in range(b * k - b + 1, b * k + 1):
+                num = num * (h + 1 - j) % p
+                den = den * j % p
+            yk = yk * y % p
+            total += num * pow(den, -1, p) * yk
+        return total % p
     # (1+t)^h mod t^b - y by squaring: the b coefficients are packed in
     # 64-bit slots, so one big-int product squares them all (Kronecker
     # substitution).  A square times 1 + t has 2b slots, each a sum of at
     # most 2b products of residues, below 2b (p-1)^2 < 2^64
     if 2 * b * (p - 1) ** 2 >> 64:
         raise OutOfRangeError(f"C({a}k, {b}k) at p = {p} overflows the 64-bit slots")
-    y = pow(CENTRAL_SCALE, b, p) * m % p
     wide, narrow = _slots(2 * b), _slots(b)
     v = 1
-    for bit in bin((p - 1) // 2)[2:]:
+    for bit in bin(h)[2:]:
         v *= v
         if bit == "1":
             v += v << 64

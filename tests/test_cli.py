@@ -149,6 +149,17 @@ def test_compute_sum_takes_the_ring_path_without_tables(capsys, table_builds, a,
     assert capsys.readouterr().out.strip() == got != "0"
 
 
+@pytest.mark.parametrize("b, p", [(10**9, 3), (5 * 10**6, 1_999_993)])
+def test_compute_sum_past_half_the_prime_is_one(capsys, table_builds, b, p):
+    # 2b > p leaves only k = 0 in the sum to [p/2b]: no ring of b slots, no
+    # table
+    args = ["compute", "sum", "--a", str(2 * b), "--b", str(b), "--num", "3", "--den", "5",
+            "--prime", str(p)]
+    assert main(args) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert table_builds == []
+
+
 def test_compute_sum_refuses_a_long_diagonal_before_building_tables(capsys, table_builds):
     # 4 * 600000 reaches p = 1999993, which check_diag refuses before the
     # 2 * 10^6-entry tables are built

@@ -144,8 +144,9 @@ def form_tables():
 
 # every (a, b) whose diagonal the registry sums
 REGISTRY_DIAGONALS = [(3, 1), (4, 2), (6, 2), (6, 3), (8, 4), (10, 5), (12, 6), (20, 10), (24, 12)]
-# the diagonals ring_sum takes in the registry, and C(2k, k)
-RING_DIAGONALS = [(2, 1), (6, 2), (6, 3), (8, 4), (10, 5), (12, 6), (20, 10), (24, 12)]
+# the diagonals ring_sum takes in the registry, C(2k, k), and C(4k, 2k),
+# which Ctx.sum_binom sends to lucas_sum
+RING_DIAGONALS = [(2, 1), (4, 2), (6, 2), (6, 3), (8, 4), (10, 5), (12, 6), (20, 10), (24, 12)]
 
 
 def test_cubic_roots_on_the_registry_families():
@@ -245,6 +246,19 @@ def test_ring_sums_match_the_tables():
         for m in (0, 1, p - 1, rng.randrange(1, p)):
             for a, b in RING_DIAGONALS:
                 assert ring_sum(a, b, m, p) == t.sum_diag_pow(a, b, m, p // a), (p, a, b, m)
+
+
+def test_ring_sums_by_the_term_walk_match_the_tables():
+    # b^2 > h walks the terms: either side of b = isqrt(h), and at b = h,
+    # the last b with a term past k = 0
+    rng = random.Random(22)
+    largest = next(q for q in range(TABLE_PRIME_LIMIT, 0, -1) if is_prime(q))
+    for p in sieve_primes(3000)[1::7] + [100_003, largest]:
+        t = ModTables(p)
+        h = (p - 1) // 2
+        for b in sorted({math.isqrt(h), math.isqrt(h) + 1, h}):
+            m = rng.randrange(1, p)
+            assert ring_sum(2 * b, b, m, p) == t.sum_diag_pow(2 * b, b, m, p // (2 * b)), (p, b)
 
 
 @pytest.mark.parametrize("a, b, p", [

@@ -87,26 +87,43 @@ def test_check_statement_refuses_p_above_the_limit(sid, applies):
         check_statement(sid, _ABOVE_LIMIT)
 
 
-# ids that sum only C(4k, 2k) or C(3k, k) (lucas_sum), or C(2bk, bk) for
-# b >= 3 and C(6k, 2k) (ring_sum), each to [p/a]; thm-3.10 and thm-2.12 are
-# sampled
-TABLE_FREE_SUMS = ("thm-3.8", "thm-3.10", "thm-2.12", "cor-2.7", "intro-1.4", "thm-3.4",
-                   "thm-4.1", "thm-4.2", "thm-4.3", "thm-4.4", "thm-4.5", "thm-4.6")
+# ids that sum only C(2bk, bk) for b >= 3 or C(6k, 2k), each to [p/a],
+# which ring_sum takes without tables; thm-2.12 is sampled
+RING_SUMS = ("thm-2.12", "cor-2.7", "intro-1.4", "thm-3.4",
+             "thm-4.1", "thm-4.2", "thm-4.3", "thm-4.4", "thm-4.5", "thm-4.6")
 
 
 def test_tables_are_built_only_where_a_check_reads_them(table_builds):
     built = table_builds
-    # sums to [p/a] on these diagonals take no table: in a serial sweep, in
-    # a pool chunk that starts above the first prime and through
+    # thm-3.8 (no sampler) and thm-3.10 (sampled) sum only C(4k, 2k) or
+    # C(3k, k) to [p/a], which lucas_sum takes without tables: in a serial
+    # sweep, in a pool chunk that starts above the first prime and through
     # check_statement alike
     chunk = [q for q in range(1000, 2000) if is_prime(q)]
-    for report in verify_many(TABLE_FREE_SUMS, 2000):
+    for sid in ("thm-3.8", "thm-3.10"):
+        report = verify_many([sid], 2000)[0]
+        assert report.checked > 0 and report.not_applicable > 0
+        report = engine._sweep(([sid], chunk, 2000, 0, False))[sid]
+        assert report.checked > 0
+        assert check_statement(sid, 1987).outcome == "Pass"
+    # the ring-sum ids alike; a verified one passes wherever it is checked
+    for report in verify_many(RING_SUMS, 2000):
         assert report.checked > 0, report.id
-    for sid, report in engine._sweep((TABLE_FREE_SUMS, chunk, 2000, 0, False)).items():
+        if engine.REGISTRY[report.id].status == "verified":
+            assert report.failed == 0, report.id
+    for sid, report in engine._sweep((RING_SUMS, chunk, 2000, 0, False)).items():
         assert report.checked > 0, sid
-    for sid in TABLE_FREE_SUMS:
+    for sid in RING_SUMS:
         p = next(q for q in chunk if engine.REGISTRY[sid].applies(q))
-        assert check_statement(sid, p).outcome != "NotApplicable", sid
+        outcome = check_statement(sid, p).outcome
+        if engine.REGISTRY[sid].status == "verified":
+            assert outcome == "Pass", sid
+        else:
+            assert outcome != "NotApplicable", sid
+    # thm-2.12 draws a; at p = 5 no drawn a is admissible, so nothing is
+    # checked there
+    report = verify_many(["thm-2.12"], 2000)[0]
+    assert engine.REGISTRY["thm-2.12"].applies(5) and report.not_applicable > 0
     assert built == []
     # lem-2.3 (no sampler) reads the tables at every odd prime: a serial
     # sweep, a pool chunk that starts above the first prime and
