@@ -12,6 +12,7 @@ counts and runs.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -502,7 +503,10 @@ def verify_many(
         from multiprocessing import get_context  # only here: a serial run skips its import
 
         tasks = [(ids, chunk, prime_limit, seed, fail_fast) for chunk in _split(primes, jobs)]
-        with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
+        # Each worker freezes what it inherits by fork: a full collection due
+        # in it (its collector counts are this process's) would otherwise
+        # write to every inherited object and so copy the whole heap.
+        with get_context("fork").Pool(min(jobs, len(tasks)), initializer=gc.freeze) as pool:
             # the last chunks hold the largest primes and cost the most:
             # hand them out first so no worker is left with one at the end
             parts = list(pool.imap(_sweep, tasks[::-1]))[::-1]

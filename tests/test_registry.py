@@ -1,5 +1,6 @@
 """Statement registry: verdicts, reports, determinism, case tables."""
 
+import gc
 import json
 import multiprocessing
 import subprocess
@@ -309,7 +310,7 @@ def test_pool_size_is_bounded(monkeypatch):
     asked = []
 
     class InProcessPool:
-        def __init__(self, size):
+        def __init__(self, size, initializer=None):
             asked.append(size)
 
         def __enter__(self):
@@ -335,6 +336,24 @@ def test_pool_size_is_bounded(monkeypatch):
     monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
     assert reports_json(verify_many(["thm-2.1"], 400, jobs=8)) == want
     assert asked == [4, 6]
+
+
+_SWEEP = engine._sweep
+
+
+def _sweep_in_a_frozen_worker(args):
+    # runs in a pool worker, which froze what it inherited before any task
+    assert gc.get_freeze_count() > 0
+    return _SWEEP(args)
+
+
+def test_pool_workers_freeze_what_they_share_by_fork(monkeypatch):
+    # so that a full collection due in a worker copies none of this process's heap
+    want = reports_json(verify_many(["thm-2.1"], 400, jobs=1))
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "_sweep", _sweep_in_a_frozen_worker)
+    assert reports_json(verify_many(["thm-2.1"], 400, jobs=2)) == want
+    assert gc.get_freeze_count() == 0
 
 
 def test_importing_the_registry_leaves_multiprocessing_unloaded():
