@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .errors import IndexTooLargeError, OutOfRangeError, UnsupportedModulusError
 
@@ -44,8 +45,9 @@ def t_sum_exact(key: TSumKey) -> int:
     """Exact T_{r(m)}^n by direct summation."""
     if key.n > T_SUM_INDEX_LIMIT:
         raise IndexTooLargeError(f"exact T-sums guarded to n <= {T_SUM_INDEX_LIMIT}")
-    row = _binom_row(key.n)
-    return sum(row[k] for k in range(key.r, key.n + 1, key.m))
+    # islice, not row[r::m]: CPython 3.11 never reuses a freed tuple of
+    # length 20, so a slice of that length would grow its free list per call
+    return sum(islice(_binom_row(key.n), key.r, None, key.m))
 
 
 def t0_closed(m: int, n: int) -> int:

@@ -215,9 +215,6 @@ _ABOVE_LIMIT = next(q for q in range(TABLE_PRIME_LIMIT + 1, TABLE_PRIME_LIMIT + 
                  id="represent-prime-above-trial-division"),
     pytest.param(["compute", "symbol", "--kind", "cubic", "--top", "2,1",
                   "--bottom", "1000000016000000063"], id="cubic-bottom-above-trial-division"),
-    # a non-reduced form of D = -3 whose y window is about 1.15e12 wide
-    pytest.param(["represent", "--form", "1000001000001,2000001,1", "--prime", "999999999989"],
-                 id="represent-window-above-limit"),
     # above modarith.SIEVE_LIMIT, where the sieve would ask for terabytes
     pytest.param(["primes", "--limit", "10000000000000"], id="primes-above-sieve-limit"),
 ])
@@ -226,6 +223,18 @@ def test_above_table_limit_errors(capsys, monkeypatch, argv):
     monkeypatch.setattr("congrkit.registry.engine.sieve_primes", None)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_represent_by_reduction_at_a_large_prime(capsys):
+    # a non-reduced form of D = -3, [1,1,1] at (y + 10^6 x, x), whose y
+    # window would be about 1.15e12 wide: the 12 representations of p by
+    # [1,1,1], 6 automorphs for each of the two roots
+    p = 999999999961
+    assert main(["represent", "--form", "1000001000001,2000001,1", "--prime", str(p)]) == 0
+    pairs = [tuple(map(int, t.strip("()").split(",")))
+             for t in capsys.readouterr().out.split()]
+    assert len(set(pairs)) == 12
+    assert all(1000001000001 * x * x + 2000001 * x * y + y * y == p for x, y in pairs)
 
 
 def test_cli_as_subprocess_matches_in_process():

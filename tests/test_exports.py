@@ -1,7 +1,7 @@
 """The package's export lists."""
 
 import congrkit
-from congrkit import binomsum, errors, registry
+from congrkit import binomsum, errors, qform, registry
 
 
 def test_star_import_and_export_lists_resolve():
@@ -17,5 +17,6 @@ def test_star_import_and_export_lists_resolve():
 def test_removed_names_stay_removed():
     for module, name in ((congrkit, "verify_range"), (registry, "verify_range"),
                          (errors, "MultipleClassesRepresentError"), (registry.Ctx, "classify"),
-                         (binomsum, "PrefixSums"), (registry.Ctx, "prefix")):
+                         (binomsum, "PrefixSums"), (registry.Ctx, "prefix"),
+                         (qform, "REPRESENT_WINDOW_LIMIT")):
         assert not hasattr(module, name), name

@@ -13,8 +13,11 @@ the loop that computed both binomials in full, and a corrupted table entry
 must make them fail.  `ModTables` takes 1/k! from
 (p-1-k)! by Wilson's reflection; the oracle is the two-loop build, k! by a
 forward loop and 1/k! by a backward loop down from 1/(p-1)!.
-`classify_by_class` reduces the one form [p, b, (b^2 - D)/4p]; the oracle
-runs `represent` on every class of the target list.  `combsum._lucas_number`
+`represent` carries (1, 0) from [p, b, (b^2 - D)/4p] to the form through
+the matrices of their reductions and the automorphs; the oracle scans every
+y in the window |y| <= sqrt(4ap/|D|).  `classify_by_class` reduces the one
+form [p, b, (b^2 - D)/4p]; the oracle runs that scan on every class of the
+target list.  `combsum._lucas_number`
 doubles the index; the oracle steps L_{k+1} = L_k + L_{k-1} one k at a time.
 """
 
@@ -23,6 +26,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from congrkit import binomsum, combsum
 from congrkit.binomsum import (
@@ -47,6 +51,8 @@ from congrkit.registry.statements_binom3 import _zps_sum
 PRIMES_5_2000 = [p for p in sieve_primes(2000) if p >= 5]
 BIG_PRIMES = [q for q in range(100_000, 100_170) if is_prime(q)]
 SHIFT_LEMMAS = [("L2.2", 4), ("L2.3", 2), ("L3.1", 3)]  # (name, a)
+# y window cap of scan_represent; a reduced form needs <= sqrt(4p/3) < 1.2e6 at any p <= 10^12
+REPRESENT_WINDOW_LIMIT = 10**7
 
 
 def scan_roots(c3, c1, c0, p):
@@ -57,6 +63,31 @@ def scan_roots(c3, c1, c0, p):
     c1 %= p
     c0 %= p
     return {x for x in range(p) if (((c3 * x % p) * x + c1) * x + c0) % p == 0}
+
+
+def scan_represent(f, p):
+    """All (x, y) with f(x, y) = p, sorted: any solution has
+    |y| <= sqrt(4ap/|D|), so scanning y in that window and solving the
+    quadratic in x finds everything.  A wider window than
+    REPRESENT_WINDOW_LIMIT is refused."""
+    ymax = math.isqrt(4 * f.a * p // -f.disc) + 1
+    if ymax > REPRESENT_WINDOW_LIMIT:
+        raise OutOfRangeError(f"{f} at {p} needs |y| <= {ymax} > {REPRESENT_WINDOW_LIMIT}")
+    found = []
+    for y in range(-ymax, ymax + 1):
+        # a x^2 + (b y) x + (c y^2 - p) = 0
+        bb = f.b * y
+        disc = bb * bb - 4 * f.a * (f.c * y * y - p)
+        if disc < 0:
+            continue
+        s = math.isqrt(disc)
+        if s * s != disc:
+            continue
+        for sign in ((1,) if s == 0 else (1, -1)):
+            num = -bb + sign * s
+            if num % (2 * f.a) == 0:
+                found.append((num // (2 * f.a), y))
+    return sorted(found)
 
 
 def zps_loop(ctx):
@@ -122,14 +153,13 @@ def two_reduction_key(f):
 
 def search_classes(p, D, targets):
     """(index, representations) of the one class among targets that
-    represents p, found by running represent on each class; None when no
-    class does."""
+    represents p, found by scanning each class; None when no class does."""
     buckets = {}
     for i, f in enumerate(targets):
         assert f.disc == D, f
         buckets.setdefault(two_reduction_key(f), []).append(i)
     hits = [(idxs[0], reps) for idxs in buckets.values()
-            if (reps := represent(targets[idxs[0]], p))]
+            if (reps := scan_represent(targets[idxs[0]], p))]
     assert len(hits) <= 1, (p, D, hits)
     return (hits[0][0], tuple(hits[0][1])) if hits else None
 
@@ -447,7 +477,7 @@ def test_class_key_matches_the_two_reductions():
 def test_classify_by_class_matches_the_class_search():
     pairs = 0
     for table in form_tables():
-        for p in sieve_primes(10**4)[1:]:
+        for p in sieve_primes(10**4)[1:] + BIG_PRIMES:
             want = search_classes(p, table.disc, table.forms)
             if want is None:
                 with pytest.raises(NoneRepresentsError):
@@ -456,7 +486,85 @@ def test_classify_by_class_matches_the_class_search():
                 got = classify_by_class(p, table.disc, table.forms)
                 assert (got.index, got.representations) == want, (table.disc, p)
             pairs += 1
-    assert pairs == 11_052
+    assert pairs == 9 * (1228 + 12)
+
+
+def test_represent_matches_the_scan_on_the_class_groups():
+    # every reduced form of the tables' discriminants and its inverse, which
+    # is reduced or else translates to it
+    forms = {g for D in {t.disc for t in form_tables()}
+             for f in class_group(D) for g in (f, f.opposite())}
+    assert len(forms) == 56
+    primes = sieve_primes(10**4)[1:] + BIG_PRIMES
+    hits = 0
+    for f in forms:
+        for p in primes:
+            want = scan_represent(f, p)
+            assert represent(f, p) == want, (f, p)
+            hits += bool(want)
+    assert hits > len(primes)
+
+
+def sl2_moves():
+    """A matrix of SL2(Z) as (p, q, r, s), a product of up to 6 moves
+    x -> x + k y and (x, y) -> (-y, x)."""
+    move = st.one_of(st.integers(-4, 4).map(lambda k: (1, k, 0, 1)), st.just((0, -1, 1, 0)))
+
+    def product(ms):
+        p, q, r, s = 1, 0, 0, 1
+        for a, b, c, d in ms:
+            p, q, r, s = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+        return p, q, r, s
+    return st.lists(move, max_size=6).map(product)
+
+
+def moved(f, m):
+    """f·m, the form (x, y) -> f(p x + q y, r x + s y)."""
+    p, q, r, s = m
+    return QuadForm(f.value(p, r), 2 * f.a * p * q + f.b * (p * s + q * r) + 2 * f.c * r * s,
+                    f.value(q, s))
+
+
+SMALL_PRIMES = sieve_primes(400)[1:]
+
+
+@st.composite
+def forms_at_a_prime(draw):
+    """(f, p): a positive definite form, moved off its reduced form, of one
+    of several kinds, times a content 1, p or another number."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    kind = draw(st.sampled_from(["represents p", "p | D", "D = -3", "D = -4", "any"]))
+    if kind == "represents p":  # [p, b, c] takes p at (1, 0)
+        b = draw(st.integers(-p, p))
+        base = QuadForm(p, b, draw(st.integers(b * b // (4 * p) + 1, 3 * p)))
+    elif kind == "p | D":  # b = 0 or p: p divides b^2 - 4pc
+        b = draw(st.sampled_from([0, p, -p]))
+        base = QuadForm(p, b, draw(st.integers(b * b // (4 * p) + 1, 3 * p)))
+    elif kind == "D = -3":
+        base = QuadForm(1, 1, 1)
+    elif kind == "D = -4":
+        base = QuadForm(1, 0, 1)
+    else:
+        base = QuadForm(draw(st.integers(1, 40)), draw(st.integers(-40, 40)),
+                        draw(st.integers(1, 40)))
+        assume(base.disc < 0)
+    f = moved(base, draw(sl2_moves()))
+    k = draw(st.sampled_from([1, 1, p, draw(st.integers(2, 6))]))
+    return QuadForm(k * f.a, k * f.b, k * f.c), p
+
+
+@given(forms_at_a_prime())
+def test_represent_matches_the_scan_on_random_forms(fp):
+    f, p = fp
+    assert represent(f, p) == scan_represent(f, p)
+
+
+def test_represent_matches_the_scan_at_a_large_prime():
+    # the scan walks about 1.15e6 values of y here
+    p = 999_999_999_961
+    want = scan_represent(QuadForm(1, 1, 1), p)
+    assert len(want) == 12
+    assert represent(QuadForm(1, 1, 1), p) == want
 
 
 @pytest.mark.parametrize("p", [-3, 0, 1, 2, 9, 15, 561])

@@ -113,6 +113,12 @@ def test_represent_spot():
     assert represent(QuadForm(1, 0, 15), 7) == []
 
 
+@pytest.mark.parametrize("p", [-3, 0, 1, 2, 9, 561])
+def test_represent_refuses_a_p_that_is_not_an_odd_prime(p):
+    with pytest.raises(OutOfRangeError, match="odd prime"):
+        represent(QuadForm(1, 1, 1), p)
+
+
 def _registry_forms():
     """Every form the registry represents primes by: the rows of its FormTables."""
     tables = [t for mod in (b3, b4) for t in vars(mod).values() if isinstance(t, FormTable)]
@@ -122,7 +128,7 @@ def _registry_forms():
 
 
 def test_represent_matches_brute_force():
-    primes = sieve_primes(1000)
+    primes = sieve_primes(1000)[1:]  # p = 2 is refused, see below
     r = isqrt(primes[-1])
     forms = _registry_forms()
     assert len(forms) == 33
