@@ -247,16 +247,19 @@ def ring_sum(a: int, b: int, m: int, p: int) -> int:
     # most 2b products of residues, below 2b (p-1)^2 < 2^64
     if 2 * b * (p - 1) ** 2 >> 64:
         raise OutOfRangeError(f"C({a}k, {b}k) at p = {p} overflows the 64-bit slots")
-    wide, narrow = _slots(2 * b), _slots(b)
+    slots = _slots(b)
     v = 1
     for bit in bin(h)[2:]:
         v *= v
         if bit == "1":
             v += v << 64
-        slot = wide.unpack(v.to_bytes(16 * b, "little"))
-        # t^(b+i) = y t^i
-        coeffs = [(lo + y * hi) % p for lo, hi in zip(slot[:b], slot[b:])]
-        v = int.from_bytes(narrow.pack(*coeffs), "little")
+        raw = v.to_bytes(16 * b, "little")
+        # t^(b+i) = y t^i.  The low and high halves are read as two b-tuples,
+        # not one 2b-tuple: CPython 3.11 never reuses a freed tuple of length
+        # 20, so at b = 10 its free list would grow at every squaring
+        coeffs = [(lo + y * hi) % p
+                  for lo, hi in zip(slots.unpack_from(raw), slots.unpack_from(raw, 8 * b))]
+        v = int.from_bytes(slots.pack(*coeffs), "little")
     return coeffs[0]
 
 

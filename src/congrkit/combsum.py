@@ -9,25 +9,33 @@ rather than hiding them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
 from .errors import IndexTooLargeError, OutOfRangeError, UnsupportedModulusError
+from .record import FrozenRecord
 
 T_SUM_INDEX_LIMIT = 2000
 RECURRENCE_INDEX_LIMIT = 500
 
 
-@dataclass(frozen=True)
-class TSumKey:
-    n: int
-    m: int
-    r: int
+class TSumKey(FrozenRecord):
+    __slots__ = ("n", "m", "r")
 
-    def __post_init__(self):
-        if self.n < 0 or self.m <= 0 or not 0 <= self.r < self.m:
+    def __init__(self, n: int, m: int, r: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "r", r)
+        if n < 0 or m <= 0 or not 0 <= r < m:
             raise OutOfRangeError(f"bad T-sum key {self}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.m == other.m and self.r == other.r
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.m, self.r))
 
 
 # rows n and n + 1: all that the checks at one prime read

@@ -15,7 +15,6 @@ single-ideal characters are exposed separately; they are what carries the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
@@ -25,12 +24,23 @@ from .errors import (
     OutOfRangeError,
 )
 from .modarith import TRIAL_DIVISION_LIMIT, inv_mod, is_prime, sqrt_mod
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class GaussianInt:
-    re: int
-    im: int
+class GaussianInt(FrozenRecord):
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     @property
     def norm(self) -> int:
@@ -40,10 +50,20 @@ class GaussianInt:
         return f"{self.re}{self.im:+d}i"
 
 
-@dataclass(frozen=True)
-class EisensteinInt:
-    a: int
-    b: int
+class EisensteinInt(FrozenRecord):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     @property
     def norm(self) -> int:
@@ -53,22 +73,38 @@ class EisensteinInt:
         return f"{self.a}{self.b:+d}w"
 
 
-@dataclass(frozen=True)
-class UnityRoot3:
-    exponent: int
+class UnityRoot3(FrozenRecord):
+    __slots__ = ("exponent",)
 
-    def __post_init__(self):
-        if self.exponent not in (0, 1, 2):
-            raise CongruenceError(f"exponent {self.exponent} not canonical")
+    def __init__(self, exponent: int):
+        if exponent not in (0, 1, 2):
+            raise CongruenceError(f"exponent {exponent} not canonical")
+        object.__setattr__(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponent == other.exponent
+
+    def __hash__(self) -> int:
+        return hash((self.exponent,))
 
 
-@dataclass(frozen=True)
-class UnityRoot4:
-    exponent: int
+class UnityRoot4(FrozenRecord):
+    __slots__ = ("exponent",)
 
-    def __post_init__(self):
-        if self.exponent not in (0, 1, 2, 3):
-            raise CongruenceError(f"exponent {self.exponent} not canonical")
+    def __init__(self, exponent: int):
+        if exponent not in (0, 1, 2, 3):
+            raise CongruenceError(f"exponent {exponent} not canonical")
+        object.__setattr__(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponent == other.exponent
+
+    def __hash__(self) -> int:
+        return hash((self.exponent,))
 
 
 def _quad_pow(x0: int, x1: int, e: int, p: int, c0: int, c1: int) -> tuple[int, int]:

@@ -17,7 +17,6 @@ are shared by represent and classify_by_class through one cache per prime.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -29,15 +28,26 @@ from .errors import (
     OutOfRangeError,
 )
 from .modarith import is_prime, sqrt_mod
+from .record import FrozenRecord
 
 CLASS_GROUP_DISC_LIMIT = 10**7
 
 
-@dataclass(frozen=True)
-class QuadForm:
-    a: int
-    b: int
-    c: int
+class QuadForm(FrozenRecord):
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.c == other.c
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c))
 
     @property
     def disc(self) -> int:
@@ -226,10 +236,20 @@ def class_key(f: QuadForm) -> QuadForm:
     return QuadForm(*_key(a, b, c))
 
 
-@dataclass(frozen=True)
-class ClassMatch:
-    index: int
-    representations: tuple[tuple[int, int], ...]
+class ClassMatch(FrozenRecord):
+    __slots__ = ("index", "representations")
+
+    def __init__(self, index: int, representations: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "representations", representations)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.index == other.index and self.representations == other.representations
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.representations))
 
 
 def classify_by_class(p: int, D: int, targets: Sequence[QuadForm]) -> ClassMatch:

@@ -13,10 +13,9 @@ counts and runs.
 from __future__ import annotations
 
 import gc
-import json
 import os
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from math import gcd, inf
 from typing import Any, Callable
@@ -40,6 +39,7 @@ from ..errors import (
 from ..lucas import uv_mod
 from ..modarith import inv_mod, is_prime, jacobi, sieve_primes, sqrt_mod
 from ..qform import QuadForm, class_group, class_key, classify_by_class, two_squares
+from ..record import FrozenRecord, Record
 
 SAMPLES_PER_PRIME = 20
 SAMPLER_RETRIES = 64
@@ -117,19 +117,27 @@ class Ctx:
         return self._two_sq
 
 
-@dataclass
-class Outcome:
+class Outcome(Record):
     """What one check produced: a comparison plus enough to replay it."""
 
-    ok: bool
-    lhs: Any = None
-    row: str | None = None
-    rhs: Any = None
-    witnesses: dict | None = None
+    __slots__ = ("ok", "lhs", "row", "rhs", "witnesses")
+
+    def __init__(self, ok: bool, lhs: Any = None, row: str | None = None, rhs: Any = None,
+                 witnesses: dict | None = None):
+        self.ok = ok
+        self.lhs = lhs
+        self.row = row
+        self.rhs = rhs
+        self.witnesses = witnesses
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok == other.ok and self.lhs == other.lhs and self.row == other.row
+                and self.rhs == other.rhs and self.witnesses == other.witnesses)
 
 
-@dataclass(frozen=True)
-class Applies:
+class Applies(FrozenRecord):
     """The odd primes p a statement holds at: lo <= p <= cap, p mod modulus
     in classes, and p not in exclude.
 
@@ -140,25 +148,37 @@ class Applies:
     raises ValueError.
     """
 
-    modulus: int = 1
-    classes: tuple[int, ...] | frozenset[int] = (0,)
-    lo: int = 3
-    cap: float = inf
-    exclude: tuple[int, ...] = ()
+    __slots__ = ("modulus", "classes", "lo", "cap", "exclude")
 
-    def __post_init__(self):
-        for r in self.classes:
-            if not 0 <= r < self.modulus:
-                raise ValueError(f"class {r} is not a residue mod {self.modulus}")
-            if gcd(r, self.modulus) != 1 and not (r >= self.lo and is_prime(r)):
-                raise ValueError(f"class {r} mod {self.modulus} holds no prime >= {self.lo}")
-        if self.lo > self.cap:
-            raise ValueError(f"lo = {self.lo} is above cap = {self.cap}")
-        if self.exclude:
-            whole = replace(self, exclude=())
-            dead = [q for q in self.exclude if not (is_prime(q) and whole(q))]
+    def __init__(self, modulus: int = 1, classes: tuple[int, ...] | frozenset[int] = (0,),
+                 lo: int = 3, cap: float = inf, exclude: tuple[int, ...] = ()):
+        for r in classes:
+            if not 0 <= r < modulus:
+                raise ValueError(f"class {r} is not a residue mod {modulus}")
+            if gcd(r, modulus) != 1 and not (r >= lo and is_prime(r)):
+                raise ValueError(f"class {r} mod {modulus} holds no prime >= {lo}")
+        if lo > cap:
+            raise ValueError(f"lo = {lo} is above cap = {cap}")
+        if exclude:
+            whole = Applies(modulus, classes, lo, cap)
+            dead = [q for q in exclude if not (is_prime(q) and whole(q))]
             if dead:
                 raise ValueError(f"excluded {dead} would not be admitted anyway")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "exclude", exclude)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.modulus == other.modulus and self.classes == other.classes
+                and self.lo == other.lo and self.cap == other.cap
+                and self.exclude == other.exclude)
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.classes, self.lo, self.cap, self.exclude))
 
     def __call__(self, p: int) -> bool:
         return (self.lo <= p <= self.cap and p % self.modulus in self.classes
@@ -195,16 +215,28 @@ class Verdict:
     witnesses: dict | None = None
 
 
-@dataclass
-class Report:
-    id: str
-    prime_limit: int
-    checked: int
-    passed: int
-    failed: int
-    not_applicable: int
-    failures: list[dict]
-    status: str
+class Report(Record):
+    __slots__ = ("id", "prime_limit", "checked", "passed", "failed", "not_applicable",
+                 "failures", "status")
+
+    def __init__(self, id: str, prime_limit: int, checked: int, passed: int, failed: int,
+                 not_applicable: int, failures: list[dict], status: str):
+        self.id = id
+        self.prime_limit = prime_limit
+        self.checked = checked
+        self.passed = passed
+        self.failed = failed
+        self.not_applicable = not_applicable
+        self.failures = failures
+        self.status = status
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id == other.id and self.prime_limit == other.prime_limit
+                and self.checked == other.checked and self.passed == other.passed
+                and self.failed == other.failed and self.not_applicable == other.not_applicable
+                and self.failures == other.failures and self.status == other.status)
 
 
 REGISTRY: dict[str, Statement] = {}
@@ -298,7 +330,8 @@ class FormTable:
         self.disc = disc
         self.forms = tuple(QuadForm(*form) for form, _sub_rows in rows)
         self._sub_rows = tuple(sub_rows for _form, sub_rows in rows)
-        classes = {class_key(g) for g in class_group(disc)}
+        # a class and its inverse have one reduced form with b >= 0 between them
+        classes = {class_key(g) for g in class_group(disc) if g.b >= 0}
         seen = set()
         for f in self.forms:
             key = class_key(f) if f.disc == disc else None
@@ -526,9 +559,12 @@ def verify_many(
 
 def reports_json(reports: list[Report]) -> str:
     """Canonical JSON for a list of reports (stable key order, trailing \\n)."""
-    return (
-        json.dumps([asdict(r) for r in reports], indent=2, sort_keys=True) + "\n"
-    )
+    import json  # only here: importing the registry skips it
+
+    rows = [{"id": r.id, "prime_limit": r.prime_limit, "checked": r.checked,
+             "passed": r.passed, "failed": r.failed, "not_applicable": r.not_applicable,
+             "failures": r.failures, "status": r.status} for r in reports]
+    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
 def cubic_roots(c3: int, c1: int, c0: int, p: int) -> set[int]:

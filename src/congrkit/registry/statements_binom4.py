@@ -11,13 +11,13 @@ guards explicit parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from ..binomsum import binom_shift_lemma_check
 from ..cyclotomic import GaussianInt, quartic_symbol
 from ..errors import CongruenceError, NotCoprimeError
 from ..modarith import jacobi, sqrt_mod
+from ..record import FrozenRecord
 from .engine import (
     Applies,
     CaseTable,
@@ -493,10 +493,20 @@ register(Statement(
 
 # ------------------------------------------------ quartic-sign displays
 
-@dataclass(frozen=True)
-class DeltaP:
-    sign: int
-    derivation: str
+class DeltaP(FrozenRecord):
+    __slots__ = ("sign", "derivation")
+
+    def __init__(self, sign: int, derivation: str):
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "derivation", derivation)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sign == other.sign and self.derivation == other.derivation
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.derivation))
 
 
 def _delta_display_rows(b: int, m: int, p: int) -> tuple:
