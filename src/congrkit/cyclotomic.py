@@ -15,6 +15,7 @@ single-ideal characters are exposed separately; they are what carries the
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .errors import (
@@ -237,12 +238,20 @@ def _quartic_guard(alpha: GaussianInt, p: int) -> None:
         raise NotCoprimeError(f"norm of {alpha} is divisible by {p}")
 
 
+@lru_cache(maxsize=1)
+def _sqrt_minus_one(p: int) -> int:
+    """A square root of -1 mod a prime p = 1 (mod 4).  One prime's is kept,
+    as mod_tables keeps one prime's tables: a sweep asks at every sample of
+    a prime, then moves on."""
+    return sqrt_mod(p - 1, p)
+
+
 def quartic_symbol(alpha: GaussianInt, p: int) -> UnityRoot4:
     """Quartic Jacobi symbol of alpha for an odd prime p."""
     _quartic_guard(alpha, p)
     if p % 4 == 3:
         return UnityRoot4(_quartic_exp_inert(alpha, p))
-    u = sqrt_mod(p - 1, p)
+    u = _sqrt_minus_one(p)
     return UnityRoot4((_quartic_exp_split(alpha, p, u) + _quartic_exp_split(alpha, p, p - u)) % 4)
 
 
@@ -255,5 +264,5 @@ def quartic_character(alpha: GaussianInt, p: int) -> UnityRoot4:
     _quartic_guard(alpha, p)
     if p % 4 == 3:
         return UnityRoot4(_quartic_exp_inert(alpha, p))
-    u = sqrt_mod(p - 1, p)
+    u = _sqrt_minus_one(p)
     return UnityRoot4(_quartic_exp_split(alpha, p, min(u, p - u)))

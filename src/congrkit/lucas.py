@@ -1,11 +1,16 @@
 """Lucas sequences U_n(P, Q), V_n(P, Q) exactly and modulo odd primes.
 
 Both sequences satisfy x_{n+1} = P x_n - Q x_{n-1} with U_0 = 0, U_1 = 1,
-V_0 = 2, V_1 = P.  The modular evaluator runs in O(log n) by index
-doubling, carrying Q^n along:
+V_0 = 2, V_1 = P.  The modular evaluator runs in O(log n) on the pair
+(U_m, U_{m+1}), doubling the index at each bit of n and stepping once more
+on a set bit (Joye and Quisquater, Electronics Letters, 1996):
 
-    U_{2n} = U_n V_n,   V_{2n} = V_n^2 - 2 Q^n,
-    U_{n+1} = (P U_n + V_n) / 2,   V_{n+1} = (P V_n + (P^2 - 4Q) U_n) / 2.
+    U_{2m} = U_m (2 U_{m+1} - P U_m),   U_{2m+1} = U_{m+1}^2 - Q U_m^2,
+    U_{2m+2} = U_{m+1} (P U_{m+1} - 2 Q U_m),
+
+and reads V_n = 2 U_{n+1} - P U_n at the end.  These are identities of
+integer polynomials in P and Q, so nothing is halved and no power of Q is
+carried.
 """
 
 from __future__ import annotations
@@ -24,18 +29,14 @@ def uv_mod(P: int, Q: int, n: int, p: int) -> tuple[int, int]:
         return 0, 2 % p
     P %= p
     Q %= p
-    inv2 = (p + 1) // 2  # inverse of 2 mod an odd p
-    disc = (P * P - 4 * Q) % p
-    u, v, qn = 1, P, Q  # state at index m, plus Q^m; m = 1 is n's leading bit
+    u, w = 1, P  # (U_m, U_{m+1}) at m = 1, n's leading bit
     for bit in bin(n)[3:]:
-        u, v, qn = u * v % p, (v * v - 2 * qn) % p, qn * qn % p
-        if bit == "1":
-            u, v, qn = (
-                (P * u + v) * inv2 % p,
-                (P * v + disc * u) * inv2 % p,
-                qn * Q % p,
-            )
-    return u, v
+        qu = Q * u
+        if bit == "1":  # to m' = 2m + 1
+            u, w = (w * w - qu * u) % p, w * (P * w - 2 * qu) % p
+        else:  # to m' = 2m
+            u, w = u * (2 * w - P * u) % p, (w * w - qu * u) % p
+    return u, (2 * w - P * u) % p
 
 
 def lucas_uv_exact(P: int, Q: int, n: int) -> tuple[int, int]:

@@ -85,21 +85,23 @@ def frac_mod(q: Rational | int, p: int) -> int:
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a|n) for odd positive n; (a|1) = 1.
 
-    Computed by the binary reciprocity loop; returns -1, 0 or 1.
+    Computed by the binary reciprocity loop (Cohen, Alg. 1.4.10): each
+    round strips every factor 2 of a at once, then flips the sign by
+    reciprocity and reduces.  Returns -1, 0 or 1.
     """
-    if n <= 0 or n % 2 == 0:
+    if n <= 0 or not n & 1:
         raise EvenModulusError(f"Jacobi symbol needs odd positive bottom, got {n}")
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
+        s = (a & -a).bit_length() - 1  # 2^s exactly divides a
+        if s:
+            a >>= s
+            if s & 1 and n & 7 in (3, 5):  # (2|n) = -1
                 result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        if a & n & 2:  # both odd, so both are 3 mod 4
             result = -result
-        a %= n
+        a, n = n % a, a
     return result if n == 1 else 0
 
 

@@ -76,11 +76,11 @@ class Ctx:
         return mod_tables(self.p)
 
     def inv(self, x: int) -> int:
-        return inv_mod(x % self.p, self.p)
+        return inv_mod(x, self.p)
 
     def fr(self, num: int, den: int) -> int:
         """num / den mod p."""
-        return num % self.p * self.inv(den) % self.p
+        return num % self.p * inv_mod(den, self.p) % self.p
 
     def pw(self, base: int, e: int) -> int:
         if e < 0:
@@ -380,21 +380,34 @@ def row_check(lhs: Callable[[Ctx], Any], table: CaseTable | FormTable) -> Callab
     return check
 
 
-# Value draws for Statement.draw: draw(rng, p) -> int.
+def _below(rng: random.Random, n: int) -> int:
+    """A draw from range(n), n >= 1, by the getrandbits calls that
+    Random.randrange and Random.choice make through Random._randbelow
+    (CPython 3.10-3.12), without their argument checks."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+# Value draws for Statement.draw: draw(rng, p) -> int.  Each takes the
+# values that rng.randrange, and rng.choice for the sign, would give from
+# the same stream.
 def unit(rng: random.Random, p: int) -> int:
-    return rng.randrange(1, p)
+    return 1 + _below(rng, p - 1)
 
 
 def unit_not_one(rng: random.Random, p: int) -> int:
-    return rng.randrange(2, p)
+    return 2 + _below(rng, p - 2)
 
 
 def small(rng: random.Random, p: int) -> int:
-    return rng.randrange(1, 61)
+    return 1 + _below(rng, 60)
 
 
 def small_signed(rng: random.Random, p: int) -> int:
-    return rng.choice((1, -1)) * rng.randrange(1, 61)
+    return (1, -1)[_below(rng, 2)] * (1 + _below(rng, 60))
 
 
 def _sample(draws: tuple, hypothesis: Callable, rng: random.Random, p: int) -> dict | None:

@@ -347,13 +347,25 @@ register(Statement(
 ))
 
 
+_THM_3_10_ROW = "S is the unique root of (27a-4)x^3+3x+1"
+
+
 def _check_thm_3_10(ctx: Ctx, params) -> Outcome:
+    """S = sum C(3k, k) a^k against the roots of f = c x^3 + 3x + 1, c = 27a - 4.
+
+    f = (x - S)(c x^2 + c S x + c S^2 + 3) + f(S), so S is f's only root
+    when f(S) = 0 and the quotient's discriminant -3c(c S^2 + 4) is a
+    non-residue, which needs c to be a unit: a Pass without cubic_roots.
+    Every other case compares S with the roots that cubic_roots finds."""
     p = ctx.p
     a = params["a"]
     s = ctx.sum_binom(3, 1, a)
-    roots = cubic_roots((27 * a - 4) % p, 3, 1, p)
-    return Outcome(roots == {s}, s, "S is the unique root of (27a-4)x^3+3x+1",
-                   sorted(roots))
+    c = (27 * a - 4) % p
+    q0 = (c * s * s + 3) % p  # the quotient's constant term
+    if (q0 * s + 1) % p == 0 and jacobi(-3 * c * (q0 + 1), p) == -1:
+        return Outcome(True, s, _THM_3_10_ROW, [s])
+    roots = cubic_roots(c, 3, 1, p)
+    return Outcome(roots == {s}, s, _THM_3_10_ROW, sorted(roots))
 
 
 def _a_cubic(t, p):

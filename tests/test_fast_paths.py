@@ -19,6 +19,14 @@ y in the window |y| <= sqrt(4ap/|D|).  `classify_by_class` reduces the one
 form [p, b, (b^2 - D)/4p]; the oracle runs that scan on every class of the
 target list.  `combsum._lucas_number`
 doubles the index; the oracle steps L_{k+1} = L_k + L_{k-1} one k at a time.
+`uv_mod` runs the (U_m, U_{m+1}) ladder; the oracle is the (U_m, V_m)
+ladder that halves mod p and carries Q^m.  `jacobi` strips all factors 2
+of the top at once; the oracle strips them one at a time.  `thm-3.10`
+decides a Pass by deflating its cubic at S; the oracle compares S with
+every root `cubic_roots` finds.  The sampler's draws call `getrandbits`
+directly; the oracle is `Random.randrange` and `Random.choice`.  The
+quartic symbols keep one prime's square root of -1; the oracle takes it
+afresh from `sqrt_mod` at every call.
 """
 
 import inspect
@@ -28,7 +36,7 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from congrkit import binomsum, combsum
+from congrkit import binomsum, combsum, cyclotomic
 from congrkit.binomsum import (
     LUCAS_SCALES,
     TABLE_PRIME_LIMIT,
@@ -40,11 +48,18 @@ from congrkit.binomsum import (
     pack_lanes,
     ring_sum,
 )
-from congrkit.errors import NoneRepresentsError, OutOfRangeError, ZeroInverseError
-from congrkit.modarith import inv_mod, is_prime, sieve_primes
+from congrkit.cyclotomic import GaussianInt, UnityRoot4, quartic_character, quartic_symbol
+from congrkit.errors import (
+    EvenModulusError,
+    NoneRepresentsError,
+    OutOfRangeError,
+    ZeroInverseError,
+)
+from congrkit.lucas import uv_mod
+from congrkit.modarith import inv_mod, is_prime, jacobi, sieve_primes, sqrt_mod
 from congrkit.qform import QuadForm, class_group, class_key, classify_by_class, reduce, represent
-from congrkit.registry import Ctx, cubic_roots
-from congrkit.registry import statements_binom3 as b3, statements_binom4 as b4
+from congrkit.registry import Ctx, Outcome, cubic_roots
+from congrkit.registry import engine, statements_binom3 as b3, statements_binom4 as b4
 from congrkit.registry.engine import FormTable
 from congrkit.registry.statements_binom3 import _zps_sum
 
@@ -580,3 +595,158 @@ def test_lucas_numbers_by_doubling_match_the_loop():
         a, b = b, a + b
     with pytest.raises(OutOfRangeError):
         combsum._lucas_number(-1)
+
+
+def uv_halving_ladder(P, Q, n, p):
+    """(U_n, V_n) mod an odd p by the (U_m, V_m) ladder: V_{2m} needs Q^m,
+    and a set bit halves mod p."""
+    if n == 0:
+        return 0, 2 % p
+    P %= p
+    Q %= p
+    inv2 = (p + 1) // 2
+    disc = (P * P - 4 * Q) % p
+    u, v, qn = 1, P, Q
+    for bit in bin(n)[3:]:
+        u, v, qn = u * v % p, (v * v - 2 * qn) % p, qn * qn % p
+        if bit == "1":
+            u, v, qn = (P * u + v) * inv2 % p, (P * v + disc * u) * inv2 % p, qn * Q % p
+    return u, v
+
+
+def test_uv_mod_matches_the_halving_ladder_on_every_small_pair():
+    for p in (3, 5, 7, 11, 13):
+        for P in range(p):
+            for Q in range(p):
+                for n in range(65):
+                    assert uv_mod(P, Q, n, p) == uv_halving_ladder(P, Q, n, p), (P, Q, n, p)
+
+
+@pytest.mark.parametrize("p", [1999, 100_003, 1_999_993])
+def test_uv_mod_matches_the_halving_ladder_on_seeded_triples(p):
+    rng = random.Random(p)
+    inv4 = inv_mod(4, p)
+    for _ in range(300):
+        P, n = rng.randrange(-p, 2 * p), rng.randrange(3 * p)
+        # any Q, a zero discriminant P^2 = 4Q, and Q = 0
+        for Q in (rng.randrange(-p, 2 * p), P * P * inv4, 0):
+            assert uv_mod(P, Q, n, p) == uv_halving_ladder(P, Q, n, p), (P, Q, n)
+
+
+def jacobi_loop(a, n):
+    """(a|n) for odd positive n, stripping one factor 2 of a at a time."""
+    if n <= 0 or n % 2 == 0:
+        raise EvenModulusError(f"Jacobi symbol needs odd positive bottom, got {n}")
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def test_jacobi_matches_the_loop_on_every_small_pair():
+    for n in range(1, 600, 2):
+        for a in range(-2 * n, 2 * n + 1):
+            assert jacobi(a, n) == jacobi_loop(a, n), (a, n)
+
+
+def test_jacobi_matches_the_loop_on_seeded_60_bit_pairs():
+    rng = random.Random(60)
+    for _ in range(3000):
+        n = rng.getrandbits(60) | 1
+        a = rng.getrandbits(60) * rng.choice((1, -1)) << rng.randrange(4)
+        assert jacobi(a, n) == jacobi_loop(a, n), (a, n)
+    for a in (-5, -1, 0, 1, 2, 2**61):
+        assert jacobi(a, 1) == 1
+
+
+@pytest.mark.parametrize("n", [-7, -1, 0, 2, 10, 2**61])
+def test_jacobi_refuses_an_even_or_non_positive_bottom(n):
+    with pytest.raises(EvenModulusError):
+        jacobi(3, n)
+    with pytest.raises(EvenModulusError):
+        jacobi_loop(3, n)
+
+
+def thm_3_10_by_roots(ctx, params):
+    """thm-3.10's check with every root of (27a - 4)x^3 + 3x + 1 found."""
+    p = ctx.p
+    s = ctx.sum_binom(3, 1, params["a"])
+    roots = cubic_roots((27 * params["a"] - 4) % p, 3, 1, p)
+    return Outcome(roots == {s}, s, b3._THM_3_10_ROW, sorted(roots))
+
+
+class WrongSum(Ctx):
+    """A Ctx whose sums are one too large, to fail thm-3.10 at every a."""
+
+    __slots__ = ()
+
+    def sum_binom(self, *args, **kwargs):
+        return (super().sum_binom(*args, **kwargs) + 1) % self.p
+
+
+def test_thm_3_10_matches_the_root_check_at_every_a():
+    for p in sieve_primes(400)[2:]:
+        ctx, wrong = Ctx(p), WrongSum(p)
+        for a in range(p):
+            params = {"a": a}
+            assert b3._check_thm_3_10(ctx, params) == thm_3_10_by_roots(ctx, params), (p, a)
+            assert b3._check_thm_3_10(wrong, params) == thm_3_10_by_roots(wrong, params), (p, a)
+
+
+@pytest.mark.parametrize("p", [100_003, 1_999_993])
+def test_thm_3_10_matches_the_root_check_at_seeded_a(p):
+    rng = random.Random(p)
+    ctx, wrong = Ctx(p), WrongSum(p)
+    passes = 0
+    for _ in range(300):
+        params = {"a": rng.randrange(p)}
+        got = b3._check_thm_3_10(ctx, params)
+        assert got == thm_3_10_by_roots(ctx, params), params
+        assert b3._check_thm_3_10(wrong, params) == thm_3_10_by_roots(wrong, params), params
+        passes += got.ok
+    assert 0 < passes < 300  # both the deflation and cubic_roots are reached
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 1999, 100_003])
+def test_draws_take_the_stream_of_randrange_and_choice(p):
+    pairs = [
+        (engine.unit, lambda rng: rng.randrange(1, p)),
+        (engine.unit_not_one, lambda rng: rng.randrange(2, p)),
+        (engine.small, lambda rng: rng.randrange(1, 61)),
+        (engine.small_signed, lambda rng: rng.choice((1, -1)) * rng.randrange(1, 61)),
+    ]
+    for draw, oracle in pairs:
+        for seed in range(20):
+            rng, ref = random.Random(f"{seed}|{p}"), random.Random(f"{seed}|{p}")
+            assert [draw(rng, p) for _ in range(3000)] == [oracle(ref) for _ in range(3000)]
+
+
+def quartic_pair_uncached(alpha, p):
+    """(quartic_symbol, quartic_character) of alpha at p, with the square
+    root of -1 taken afresh."""
+    if p % 4 == 3:
+        e = cyclotomic._quartic_exp_inert(alpha, p)
+        return UnityRoot4(e), UnityRoot4(e)
+    u = sqrt_mod(p - 1, p)
+    split = cyclotomic._quartic_exp_split
+    return (UnityRoot4((split(alpha, p, u) + split(alpha, p, p - u)) % 4),
+            UnityRoot4(split(alpha, p, min(u, p - u))))
+
+
+def test_quartic_symbols_match_their_uncached_values():
+    primes = sieve_primes(300)[1:]
+    random.Random(4).shuffle(primes)  # so that each prime evicts the last one's root
+    alphas = [GaussianInt(x, y) for x in range(-12, 13) for y in range(-12, 13)]
+    for p in primes:
+        for alpha in alphas:
+            if alpha.norm % p:
+                got = quartic_symbol(alpha, p), quartic_character(alpha, p)
+                assert got == quartic_pair_uncached(alpha, p), (alpha, p)
