@@ -22,13 +22,9 @@ the s^0 coefficient of b_n(s) in F_p[s]/(s^2 - 729 m), by the Lucas
 ladder over that ring.
 
 ModTables builds factorial tables for one prime, so each C(ak, bk) costs
-two multiplications.  A whole sum is a Horner pass run on packed integer
-lanes: the diagonal C(ak, bk), k = 0..upper, is cut into chunks of
-J ~ sqrt(upper) terms, each chunk packed into one Python int with a 72-bit
-lane per term, so one big-integer multiply advances J Horner passes at once
-(word-parallel arithmetic, Knuth TAOCP 4A, 7.1.3).  Any diagonal, m and
-upper limit works, but the O(p) tables and the diagonal are paid again at
-every prime; they serve the other diagonals and explicit upper limits.
+two multiplications, and sums any diagonal to any upper limit by a scalar
+Horner pass over it.  The O(p) tables are paid again at every prime, so
+they serve only the other diagonals and explicit upper limits.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat
-from math import gcd, isqrt, prod
+from math import gcd, prod
 from operator import mod, mul, sub
 from struct import Struct
 
@@ -48,62 +44,6 @@ from .modarith import inv_mod
 # at p = 10^6 (half of inv_fact shares its ints with fact) and grow
 # linearly with p.
 TABLE_PRIME_LIMIT = 2_000_000
-
-# Lanes of the packed sum kernel: 72 bits (9 bytes) each.  Every modulus is
-# below 2^21 and every packed coefficient is a residue.  A lane below 2^46,
-# times a residue, plus a coefficient, stays below 2^67 + 2^21 < 2^72, so no
-# carry crosses into the next lane.  Folding the bits from 45 up back in,
-# times 2^45 mod p, leaves the lane below 2^45 + 2^22 * p < 2^46 again.
-_P_BITS = 21
-_FOLD = 45
-_TWO_FOLD = 1 << _FOLD
-_LANE_BYTES = 9
-if TABLE_PRIME_LIMIT >= 1 << _P_BITS:
-    raise ImportError(
-        f"TABLE_PRIME_LIMIT = {TABLE_PRIME_LIMIT} needs lanes for moduli "
-        f"of at most {_P_BITS} bits")
-
-
-@lru_cache(maxsize=64)
-def _lane_layout(width: int) -> tuple[int, int, Struct]:
-    """Masks of each lane's bits below FOLD and from FOLD up, and the
-    little-endian layout of the lanes, lowest first: 8 bytes of value and
-    one zero byte each."""
-    low = (1 << _FOLD) - 1
-    high = (1 << 8 * _LANE_BYTES - _FOLD) - 1
-    return (int.from_bytes(low.to_bytes(_LANE_BYTES, "little") * width, "little"),
-            int.from_bytes(high.to_bytes(_LANE_BYTES, "little") * width, "little"),
-            Struct("<" + ("Q" + "x" * (_LANE_BYTES - 8)) * width))
-
-
-def pack_lanes(coeffs: list[int], width: int) -> list[int]:
-    """Residues c_0, c_1, ... as ints of `width` lanes: chunk i holds
-    c_{i*width + j} in lane j, bits 72j up to 72j + 71."""
-    lanes = _lane_layout(width)[2]
-    padded = coeffs + [0] * (-len(coeffs) % width)
-    return [int.from_bytes(lanes.pack(*padded[i:i + width]), "little")
-            for i in range(0, len(padded), width)]
-
-
-def eval_packed(chunks: list[int], width: int, m: int, p: int) -> int:
-    """sum_k c_k m^k mod p for the coefficients packed by pack_lanes.
-
-    Lane j gathers sum_i c_{i*width + j} (m^width)^i by a lane-wise Horner
-    pass over the chunks; the lanes are then read out and combined with one
-    Horner pass in m.
-    """
-    low, high, lanes = _lane_layout(width)
-    r = _TWO_FOLD % p
-    step = pow(m, width, p)
-    v = 0
-    for c in reversed(chunks):
-        v = v * step + c
-        v = (v & low) + ((v >> _FOLD) & high) * r
-    # each lane is now below 2^(FOLD+1) < 2^64, so in its low 8 bytes
-    s = 0
-    for lane in reversed(lanes.unpack(v.to_bytes(_LANE_BYTES * width, "little"))):
-        s = (s * m + lane) % p
-    return s
 
 
 def _strided(table: list[int], step: int, n: int):
@@ -266,7 +206,7 @@ def ring_sum(a: int, b: int, m: int, p: int) -> int:
 class ModTables:
     """Factorial and inverse-factorial tables for one odd prime."""
 
-    __slots__ = ("p", "fact", "inv_fact", "_packed")
+    __slots__ = ("p", "fact", "inv_fact")
 
     def __init__(self, p: int):
         if not 3 <= p <= TABLE_PRIME_LIMIT:
@@ -288,8 +228,6 @@ class ModTables:
         inv_fact[::2] = map(sub, repeat(p), inv_fact[::2])
         self.fact = fact
         self.inv_fact = inv_fact
-        # (a, b, upper) -> (lane count, the diagonal packed by pack_lanes)
-        self._packed: dict[tuple[int, int, int], tuple[int, list[int]]] = {}
 
     def binom(self, n: int, k: int) -> int:
         """C(n, k) mod p for 0 <= n < p; 0 when k is outside [0, n]."""
@@ -326,13 +264,11 @@ class ModTables:
 
     def sum_diag_pow(self, a: int, b: int, m: int, upper: int) -> int:
         """sum_{k<=upper} C(ak, bk) m^k mod p with m already a residue."""
-        key = (a, b, upper)
-        packed = self._packed.get(key)
-        if packed is None:
-            seq = self.diag(a, b, upper)
-            width = max(isqrt(len(seq)), 1)
-            packed = self._packed[key] = (width, pack_lanes(seq, width))
-        return eval_packed(packed[1], packed[0], m, self.p)
+        p = self.p
+        s = 0
+        for c in reversed(self.diag(a, b, upper)):
+            s = (s * m + c) % p
+        return s
 
 
 # one prime's tables: a check reads its own prime's only, and a sweep moves on

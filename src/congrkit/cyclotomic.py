@@ -231,27 +231,28 @@ def _quartic_exp_inert(alpha: GaussianInt, p: int) -> int:
     return targets[key]
 
 
-def _quartic_guard(alpha: GaussianInt, p: int) -> None:
+@lru_cache(maxsize=1)
+def _sqrt_minus_one(p: int) -> int | None:
+    """A square root of -1 mod the odd prime p, None at p = 3 (mod 4); any
+    other p is refused.  One prime's is kept, as mod_tables keeps one
+    prime's tables: a sweep asks at every sample of a prime, then moves on."""
     if p < 3 or not is_prime(p):
         raise NotCoprimeError(f"modulus {p} must be an odd prime")
+    return sqrt_mod(p - 1, p) if p % 4 == 1 else None
+
+
+def _quartic_guard(alpha: GaussianInt, p: int) -> int | None:
+    u = _sqrt_minus_one(p)
     if alpha.norm % p == 0:
         raise NotCoprimeError(f"norm of {alpha} is divisible by {p}")
-
-
-@lru_cache(maxsize=1)
-def _sqrt_minus_one(p: int) -> int:
-    """A square root of -1 mod a prime p = 1 (mod 4).  One prime's is kept,
-    as mod_tables keeps one prime's tables: a sweep asks at every sample of
-    a prime, then moves on."""
-    return sqrt_mod(p - 1, p)
+    return u
 
 
 def quartic_symbol(alpha: GaussianInt, p: int) -> UnityRoot4:
     """Quartic Jacobi symbol of alpha for an odd prime p."""
-    _quartic_guard(alpha, p)
-    if p % 4 == 3:
+    u = _quartic_guard(alpha, p)
+    if u is None:
         return UnityRoot4(_quartic_exp_inert(alpha, p))
-    u = _sqrt_minus_one(p)
     return UnityRoot4((_quartic_exp_split(alpha, p, u) + _quartic_exp_split(alpha, p, p - u)) % 4)
 
 
@@ -261,8 +262,7 @@ def quartic_character(alpha: GaussianInt, p: int) -> UnityRoot4:
     For rational a and p = 1 (mod 4): value i^0 exactly when a is a fourth
     power mod p, and its square matches the quadratic character of a.
     """
-    _quartic_guard(alpha, p)
-    if p % 4 == 3:
+    u = _quartic_guard(alpha, p)
+    if u is None:
         return UnityRoot4(_quartic_exp_inert(alpha, p))
-    u = _sqrt_minus_one(p)
     return UnityRoot4(_quartic_exp_split(alpha, p, min(u, p - u)))

@@ -133,6 +133,17 @@ def test_quartic_symbol_guards():
         quartic_character(GaussianInt(1, 1), 4)
 
 
+@pytest.mark.parametrize("p", [13, 19])
+def test_quartic_symbols_refuse_a_composite_after_a_prime_s_call(p):
+    # the prime test sits in the one-prime cache of sqrt(-1): a prime's
+    # answer held there must not let a composite or even modulus through
+    for symbol in (quartic_symbol, quartic_character):
+        for q in (p * p, 15, 4, 2):
+            symbol(GaussianInt(2, 1), p)
+            with pytest.raises(NotCoprimeError, match="odd prime"):
+                symbol(GaussianInt(2, 1), q)
+
+
 @given(st.integers(-12, 12), st.integers(-12, 12),
        st.integers(-12, 12), st.integers(-12, 12),
        st.sampled_from([p for p in sieve_primes(80) if p > 2]))

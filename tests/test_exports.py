@@ -22,7 +22,8 @@ def test_removed_names_stay_removed():
     for module, name in ((congrkit, "verify_range"), (registry, "verify_range"),
                          (errors, "MultipleClassesRepresentError"), (registry.Ctx, "classify"),
                          (binomsum, "PrefixSums"), (registry.Ctx, "prefix"),
-                         (qform, "REPRESENT_WINDOW_LIMIT")):
+                         (qform, "REPRESENT_WINDOW_LIMIT"), (binomsum, "pack_lanes"),
+                         (binomsum, "eval_packed"), (binomsum.ModTables, "_packed")):
         assert not hasattr(module, name), name
 
 

@@ -3,16 +3,17 @@
 `cubic_roots` finds roots through gcd(f, x^p - x); the oracle scans every
 residue.  `intro-zps` sums C(3k,k) 2^k as two diagonal runs cut out by
 Lucas's theorem; the oracle reads all p - 1 terms through base-p digits.
-`sum_diag_pow` runs Horner on packed integer lanes; the oracle is the scalar
-Horner loop.  `lucas_sum` takes the sums of C(4k, 2k) and C(3k, k) from one
-Lucas pair, and `ring_sum` those of C(2bk, bk) and C(6k, 2k) by powering in
-a quotient ring; the oracle of both is `sum_diag_pow` on the tables, the
-only other path of `Ctx.sum_binom`.  The shift lemmas read the factorial
-tables directly, cancelling a unit factorial from both sides; the oracle is
-the loop that computed both binomials in full, and a corrupted table entry
-must make them fail.  `ModTables` takes 1/k! from
-(p-1-k)! by Wilson's reflection; the oracle is the two-loop build, k! by a
-forward loop and 1/k! by a backward loop down from 1/(p-1)!.
+`sum_diag_pow` reads the diagonal off the factorial tables; the oracle
+reads each term through `binom`.  `lucas_sum` takes the sums of C(4k, 2k)
+and C(3k, k) from one Lucas pair, and `ring_sum` those of C(2bk, bk) and
+C(6k, 2k) by powering in a quotient ring; the oracle of both is a Horner
+pass over the table diagonal, the other path of `Ctx.sum_binom`.  The
+shift lemmas read the factorial tables directly, cancelling a unit
+factorial from both sides; the oracle is the loop that computed both
+binomials in full, and a corrupted table entry must make them fail.
+`ModTables` takes 1/k! from (p-1-k)! by Wilson's reflection; the oracle is
+the two-loop build, k! by a forward loop and 1/k! by a backward loop down
+from 1/(p-1)!.
 `represent` carries (1, 0) from [p, b, (b^2 - D)/4p] to the form through
 the matrices of their reductions and the automorphs; the oracle scans every
 y in the window |y| <= sqrt(4ap/|D|).  `classify_by_class` reduces the one
@@ -32,6 +33,7 @@ afresh from `sqrt_mod` at every call.
 import inspect
 import math
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -42,10 +44,8 @@ from congrkit.binomsum import (
     TABLE_PRIME_LIMIT,
     ModTables,
     binom_shift_lemma_check,
-    eval_packed,
     lucas_sum,
     mod_tables,
-    pack_lanes,
     ring_sum,
 )
 from congrkit.cyclotomic import GaussianInt, UnityRoot4, quartic_character, quartic_symbol
@@ -270,36 +270,45 @@ def test_sum_diag_pow_matches_horner_on_the_registry_diagonals():
                         (p, a, b, m, upper)
 
 
-def test_lucas_sums_match_the_tables():
+@pytest.fixture(scope="module")
+def largest_tables():
+    """The tables of the largest prime they admit, built once for the sum
+    oracles below and dropped with this module; mod_tables would keep them
+    for the rest of the session."""
+    return ModTables(next(q for q in range(TABLE_PRIME_LIMIT, 0, -1) if is_prime(q)))
+
+
+def test_lucas_sums_match_the_tables(largest_tables):
     assert sorted(LUCAS_SCALES) == [(3, 1), (4, 2)]
     rng = random.Random(16)
     assert len(BIG_PRIMES) == 12
-    largest = next(q for q in range(TABLE_PRIME_LIMIT, 0, -1) if is_prime(q))
-    for p in sieve_primes(3000)[2:] + BIG_PRIMES + [largest]:
-        t = ModTables(p)  # not mod_tables: its cache would keep the largest
-        for m in (0, 1, p - 1, rng.randrange(p), rng.randrange(p)):
-            for a, b in LUCAS_SCALES:
-                assert lucas_sum(a, b, m, p) == t.sum_diag_pow(a, b, m, p // a), (p, a, b, m)
+    for t in chain(map(ModTables, sieve_primes(3000)[2:] + BIG_PRIMES), [largest_tables]):
+        p = t.p
+        ms = (0, 1, p - 1, rng.randrange(p), rng.randrange(p))
+        for a, b in LUCAS_SCALES:
+            diag = t.diag(a, b, p // a)
+            for m in ms:
+                assert lucas_sum(a, b, m, p) == horner(diag, m, p), (p, a, b, m)
 
 
-def test_ring_sums_match_the_tables():
+def test_ring_sums_match_the_tables(largest_tables):
     # from p = 3, where [p/a] = 0 or h = (p-1)/2 < b for most diagonals
     rng = random.Random(21)
-    largest = next(q for q in range(TABLE_PRIME_LIMIT, 0, -1) if is_prime(q))
-    for p in sieve_primes(3000)[1:] + [100_003, 100_019, largest]:
-        t = ModTables(p)  # not mod_tables: its cache would keep the largest
-        for m in (0, 1, p - 1, rng.randrange(1, p)):
-            for a, b in RING_DIAGONALS:
-                assert ring_sum(a, b, m, p) == t.sum_diag_pow(a, b, m, p // a), (p, a, b, m)
+    for t in chain(map(ModTables, sieve_primes(3000)[1:] + [100_003, 100_019]), [largest_tables]):
+        p = t.p
+        ms = (0, 1, p - 1, rng.randrange(1, p))
+        for a, b in RING_DIAGONALS:
+            diag = t.diag(a, b, p // a)
+            for m in ms:
+                assert ring_sum(a, b, m, p) == horner(diag, m, p), (p, a, b, m)
 
 
-def test_ring_sums_by_the_term_walk_match_the_tables():
+def test_ring_sums_by_the_term_walk_match_the_tables(largest_tables):
     # b^2 > h walks the terms: either side of b = isqrt(h), and at b = h,
     # the last b with a term past k = 0
     rng = random.Random(22)
-    largest = next(q for q in range(TABLE_PRIME_LIMIT, 0, -1) if is_prime(q))
-    for p in sieve_primes(3000)[1::7] + [100_003, largest]:
-        t = ModTables(p)
+    for t in chain(map(ModTables, sieve_primes(3000)[1::7] + [100_003]), [largest_tables]):
+        p = t.p
         h = (p - 1) // 2
         for b in sorted({math.isqrt(h), math.isqrt(h) + 1, h}):
             m = rng.randrange(1, p)
@@ -356,27 +365,6 @@ def test_both_sum_paths_share_one_diagonal_check(monkeypatch):
     for a, b in ((8, 4), (6, 2)):
         with pytest.raises(Refused):
             ring_sum(a, b, 1, 101)
-
-
-def test_packed_lanes_at_the_largest_table_prime():
-    # every coefficient and m at p - 1, the largest values a lane takes in,
-    # at the largest modulus the tables admit; odd widths make m^width = p - 1
-    p = next(q for q in range(TABLE_PRIME_LIMIT, 0, -1) if is_prime(q))
-    for n in (1, 2, 1001, 5000):
-        coeffs = [p - 1] * n
-        want = p - 1 if n % 2 else 0  # sum of -(-1)^k for k < n
-        assert horner(coeffs, p - 1, p) == want
-        for width in (1, 3, 7, 71, 101):
-            assert eval_packed(pack_lanes(coeffs, width), width, p - 1, p) == want, (n, width)
-
-
-def test_a_table_limit_past_the_lane_bound_fails_at_import():
-    source = inspect.getsource(binomsum)
-    assert "\nTABLE_PRIME_LIMIT = 2_000_000\n" in source
-    source = source.replace("\nTABLE_PRIME_LIMIT = 2_000_000\n", f"\nTABLE_PRIME_LIMIT = {2**21}\n")
-    with pytest.raises(ImportError, match="at most 21 bits"):
-        exec(compile(source, binomsum.__file__, "exec"),
-             {"__name__": "congrkit.binomsum", "__package__": "congrkit"})
 
 
 @pytest.mark.parametrize("scales, error", [

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from congrkit.binomsum import TABLE_PRIME_LIMIT, mod_tables
+from congrkit.binomsum import TABLE_PRIME_LIMIT, ModTables, mod_tables
 from congrkit.errors import (
     CongruenceError,
     InvalidParametersError,
@@ -149,7 +149,7 @@ def test_a_shared_ctx_builds_its_tables_at_most_once(table_builds):
     assert built and len(built) == len(set(built))
 
 
-def test_the_caches_hold_one_prime_s_state(table_builds):
+def test_the_caches_hold_one_prime_s_state(table_builds, monkeypatch):
     for q in (101, 103, 107):
         check_statement("lem-2.3", q)
     assert table_builds == [101, 103, 107] and mod_tables.cache_info().currsize == 1
@@ -160,7 +160,18 @@ def test_the_caches_hold_one_prime_s_state(table_builds):
     table_builds.clear()
     mod_tables.cache_clear()
     combsum._binom_row.cache_clear()
+    # and no registered id sums on the tables: every registered sum takes
+    # lucas_sum or ring_sum
+    table_sums = []
+    real_sum = ModTables.sum_diag_pow
+
+    def counting_sum(self, *args):
+        table_sums.append(args)
+        return real_sum(self, *args)
+
+    monkeypatch.setattr(ModTables, "sum_diag_pow", counting_sum)
     verify_many(registered_ids(), 2000)
+    assert table_sums == []
     primes = [q for q in sieve_primes(2000) if q > 2]
     rows = {n for q in primes for n in ((q - 1) // 2, (q + 1) // 2)}
     assert table_builds == primes and mod_tables.cache_info().misses == len(primes) == 302
