@@ -223,7 +223,13 @@ def _quartic_exp_split(alpha: GaussianInt, p: int, u: int) -> int:
 
 
 def _quartic_exp_inert(alpha: GaussianInt, p: int) -> int:
-    r0, r1 = _quad_pow(alpha.re, alpha.im, (p * p - 1) // 4, p, -1, 0)
+    """The exponent of alpha^((p^2-1)/4) mod the prime p = 3 (mod 4), alpha
+    prime to p.  With beta = alpha^((p+1)/4), Frobenius gives beta^p =
+    conj(beta) in Z[i]/p, so the power is conj(beta)/beta =
+    conj(beta)^2 / N(beta): half the exponent bits."""
+    b0, b1 = _quad_pow(alpha.re, alpha.im, (p + 1) // 4, p, -1, 0)
+    inv_norm = inv_mod(b0 * b0 + b1 * b1, p)
+    r0, r1 = (b0 * b0 - b1 * b1) * inv_norm % p, -2 * b0 * b1 * inv_norm % p
     targets = {(1, 0): 0, (0, 1): 1, ((p - 1) % p, 0): 2, (0, (p - 1) % p): 3}
     key = (r0, r1)
     if key not in targets:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import gc
 import os
 import random
-from dataclasses import dataclass, replace
 from functools import partial
 from math import gcd, inf
 from typing import Any, Callable
@@ -39,7 +38,7 @@ from ..errors import (
 from ..lucas import uv_mod
 from ..modarith import inv_mod, is_prime, jacobi, sieve_primes, sqrt_mod
 from ..qform import QuadForm, class_group, class_key, classify_by_class, two_squares
-from ..record import FrozenRecord, Record
+from ..record import DataclassFields, FrozenRecord, Record
 
 SAMPLES_PER_PRIME = 20
 SAMPLER_RETRIES = 64
@@ -63,8 +62,10 @@ class Ctx:
 
     __slots__ = ("p", "_uv", "_two_sq")
 
-    def __init__(self, p: int):
-        if not 3 <= p <= TABLE_PRIME_LIMIT or p % 2 == 0 or not is_prime(p):
+    def __init__(self, p: int, *, _sieved: bool = False):
+        # _sieved: p comes from sieve_primes, as a sweep's primes do, so the
+        # trial division of is_prime is skipped
+        if not 3 <= p <= TABLE_PRIME_LIMIT or p % 2 == 0 or not (_sieved or is_prime(p)):
             raise OutOfRangeError(
                 f"p must be an odd prime at most {TABLE_PRIME_LIMIT}, got {p}")
         self.p = p
@@ -185,34 +186,71 @@ class Applies(FrozenRecord):
                 and p not in self.exclude)
 
 
-@dataclass(frozen=True)
-class Statement:
-    id: str
-    check: Callable[[Ctx, dict | None], Outcome]
-    applies: Applies = Applies()  # every odd prime
-    status: str = "verified"  # or "disputed"
-    sampler: Callable[[random.Random, int], dict | None] | None = None  # set by register
-    # (params, p) -> whether the tuple satisfies the statement's hypothesis
-    hypothesis: Callable[[dict, int], bool] | None = None
-    # parameter name -> draw(rng, p) of its value, in draw order
-    draw: dict[str, Callable[[random.Random, int], int]] | None = None
-    notes: str = ""
+class Statement(FrozenRecord):
+    """A registered statement: its id, its check at one prime, the primes it
+    applies to and its status ("verified" or "disputed").  A statement over
+    parameter tuples has draw, parameter name -> draw(rng, p) of its value
+    in draw order, and hypothesis(params, p), whether a tuple satisfies it;
+    register builds its sampler from the two."""
+
+    __slots__ = ("id", "check", "applies", "status", "sampler", "hypothesis", "draw", "notes")
+    __dataclass_fields__ = DataclassFields()
+
+    def __init__(self, id: str, check: Callable[[Ctx, dict | None], Outcome],
+                 applies: Applies = Applies(), status: str = "verified",
+                 sampler: Callable[[random.Random, int], dict | None] | None = None,
+                 hypothesis: Callable[[dict, int], bool] | None = None,
+                 draw: dict[str, Callable[[random.Random, int], int]] | None = None,
+                 notes: str = ""):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "applies", applies)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "sampler", sampler)
+        object.__setattr__(self, "hypothesis", hypothesis)
+        object.__setattr__(self, "draw", draw)
+        object.__setattr__(self, "notes", notes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id == other.id and self.check == other.check
+                and self.applies == other.applies and self.status == other.status
+                and self.sampler == other.sampler and self.hypothesis == other.hypothesis
+                and self.draw == other.draw and self.notes == other.notes)
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.check, self.applies, self.status, self.sampler,
+                     self.hypothesis, self.draw, self.notes))
 
     @property
     def keys(self) -> tuple[str, ...]:
         return tuple(self.draw or ())
 
 
-@dataclass
-class Verdict:
-    id: str
-    prime: int
-    parameters: dict | None
-    outcome: str
-    lhs: Any = None
-    row: str | None = None
-    rhs: Any = None
-    witnesses: dict | None = None
+class Verdict(Record):
+    __slots__ = ("id", "prime", "parameters", "outcome", "lhs", "row", "rhs", "witnesses")
+    __dataclass_fields__ = DataclassFields()
+
+    def __init__(self, id: str, prime: int, parameters: dict | None, outcome: str,
+                 lhs: Any = None, row: str | None = None, rhs: Any = None,
+                 witnesses: dict | None = None):
+        self.id = id
+        self.prime = prime
+        self.parameters = parameters
+        self.outcome = outcome
+        self.lhs = lhs
+        self.row = row
+        self.rhs = rhs
+        self.witnesses = witnesses
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id == other.id and self.prime == other.prime
+                and self.parameters == other.parameters and self.outcome == other.outcome
+                and self.lhs == other.lhs and self.row == other.row and self.rhs == other.rhs
+                and self.witnesses == other.witnesses)
 
 
 class Report(Record):
@@ -250,7 +288,9 @@ def register(stmt: Statement) -> Statement:
     if not isinstance(stmt.applies, Applies):
         raise ValueError(f"{stmt.id}: applies must be an Applies record")
     if stmt.draw:
-        stmt = replace(stmt, sampler=partial(_sample, tuple(stmt.draw.items()), stmt.hypothesis))
+        sampler = partial(_sample, tuple(stmt.draw.items()), stmt.hypothesis)
+        stmt = Statement(stmt.id, stmt.check, stmt.applies, stmt.status, sampler,
+                         stmt.hypothesis, stmt.draw, stmt.notes)
     REGISTRY[stmt.id] = stmt
     return stmt
 
@@ -505,7 +545,7 @@ def _sweep(args: tuple) -> dict[str, Report]:
     for p in primes:
         if not live:
             break
-        ctx = Ctx(p)
+        ctx = Ctx(p, _sieved=True)
         for sid in live:
             _tally(reports[sid], _verdict(REGISTRY[sid], ctx, seed))
         if fail_fast:

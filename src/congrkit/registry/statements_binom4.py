@@ -708,11 +708,12 @@ register(Statement(
 
 def _check_lem_2_4(ctx: Ctx, params) -> Outcome:
     p = ctx.p
+    u, u_next = 0, 1  # U_n, U_{n+1} of U_{n+1} = U_n - U_{n-1}, mod p
     for n in range(61):
-        u = ctx.uv(1, 1, n)[0]
         want = _sign_pow(n - 1) * jacobi(n, 3) % p
         if u != want:
             return Outcome(False, u, f"U_n(1,1) at n = {n}", want, {"n": n})
+        u, u_next = u_next, (u_next - u) % p
     return Outcome(True, None, "U_n(1,1) = (-1)^(n-1) (n|3) for n in [0, 60]", None)
 
 

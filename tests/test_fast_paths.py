@@ -27,7 +27,9 @@ decides a Pass by deflating its cubic at S; the oracle compares S with
 every root `cubic_roots` finds.  The sampler's draws call `getrandbits`
 directly; the oracle is `Random.randrange` and `Random.choice`.  The
 quartic symbols keep one prime's square root of -1; the oracle takes it
-afresh from `sqrt_mod` at every call.
+afresh from `sqrt_mod` at every call.  At p = 3 (mod 4) they raise alpha to
+(p+1)/4 and apply Frobenius; the oracle raises it to (p^2-1)/4.  `lem-2.4`
+walks U_{n+1} = U_n - U_{n-1} once; the oracle runs one `uv` ladder per n.
 """
 
 import inspect
@@ -717,11 +719,28 @@ def test_draws_take_the_stream_of_randrange_and_choice(p):
             assert [draw(rng, p) for _ in range(3000)] == [oracle(ref) for _ in range(3000)]
 
 
+def quartic_exp_inert_by_the_full_power(alpha, p):
+    """The exponent e of alpha^((p^2-1)/4) = i^e mod the prime p = 3 (mod 4),
+    raised in full."""
+    r = cyclotomic._quad_pow(alpha.re, alpha.im, (p * p - 1) // 4, p, -1, 0)
+    return {(1, 0): 0, (0, 1): 1, (p - 1, 0): 2, (0, p - 1): 3}[r]
+
+
+def test_quartic_exponent_by_frobenius_matches_the_full_power():
+    alphas = [GaussianInt(x, y) for x in range(-12, 13) for y in range(-12, 13)]
+    for p in sieve_primes(3000):
+        if p % 4 == 3:
+            for alpha in alphas:
+                if alpha.norm % p:
+                    assert (cyclotomic._quartic_exp_inert(alpha, p)
+                            == quartic_exp_inert_by_the_full_power(alpha, p)), (alpha, p)
+
+
 def quartic_pair_uncached(alpha, p):
     """(quartic_symbol, quartic_character) of alpha at p, with the square
-    root of -1 taken afresh."""
+    root of -1 taken afresh and the inert power raised in full."""
     if p % 4 == 3:
-        e = cyclotomic._quartic_exp_inert(alpha, p)
+        e = quartic_exp_inert_by_the_full_power(alpha, p)
         return UnityRoot4(e), UnityRoot4(e)
     u = sqrt_mod(p - 1, p)
     split = cyclotomic._quartic_exp_split
@@ -738,3 +757,29 @@ def test_quartic_symbols_match_their_uncached_values():
             if alpha.norm % p:
                 got = quartic_symbol(alpha, p), quartic_character(alpha, p)
                 assert got == quartic_pair_uncached(alpha, p), (alpha, p)
+
+
+def lem_2_4_by_ladders(ctx, params):
+    """lem-2.4's check with each U_n(1, 1) from its own uv ladder."""
+    p = ctx.p
+    for n in range(61):
+        u = ctx.uv(1, 1, n)[0]
+        want = b4._sign_pow(n - 1) * b4.jacobi(n, 3) % p
+        if u != want:
+            return Outcome(False, u, f"U_n(1,1) at n = {n}", want, {"n": n})
+    return Outcome(True, None, "U_n(1,1) = (-1)^(n-1) (n|3) for n in [0, 60]", None)
+
+
+def test_lem_2_4_walk_matches_the_ladders():
+    for p in sieve_primes(2000)[1:]:
+        assert b4._check_lem_2_4(Ctx(p), None) == lem_2_4_by_ladders(Ctx(p), None), p
+
+
+@pytest.mark.parametrize("wrong_at", [0, 1, 2, 37, 60])
+def test_lem_2_4_walk_fails_where_the_ladders_fail(monkeypatch, wrong_at):
+    # a right side off by one at n = wrong_at fails both at that n
+    monkeypatch.setattr(b4, "jacobi", lambda a, n: jacobi(a, n) + (a == wrong_at))
+    for p in sieve_primes(200)[1:]:
+        got = b4._check_lem_2_4(Ctx(p), None)
+        assert not got.ok and got.witnesses == {"n": wrong_at}, p
+        assert got == lem_2_4_by_ladders(Ctx(p), None), p

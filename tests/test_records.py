@@ -2,6 +2,7 @@
 immutability, pickling and the checks they make when built."""
 
 import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -11,7 +12,7 @@ from congrkit.cyclotomic import EisensteinInt, GaussianInt, UnityRoot3, UnityRoo
 from congrkit.errors import CongruenceError, OutOfRangeError
 from congrkit.qform import ClassMatch, QuadForm
 from congrkit.registry import DeltaP
-from congrkit.registry.engine import Applies, Outcome, Report
+from congrkit.registry.engine import Applies, Outcome, Report, Statement, Verdict
 
 # (record, its repr, an equal record built apart, a record that differs)
 CASES = {
@@ -55,6 +56,23 @@ CASES = {
     ),
     "DeltaP": (DeltaP(-1, "from-congruence"), "DeltaP(sign=-1, derivation='from-congruence')",
                DeltaP(sign=-1, derivation="from-congruence"), DeltaP(-1, "from-quartic-symbol")),
+    "Statement": (
+        Statement("thm-x", abs, Applies(8, (1, 7)), "disputed", notes="a note"),
+        "Statement(id='thm-x', check=<built-in function abs>, applies=Applies(modulus=8, "
+        "classes=(1, 7), lo=3, cap=inf, exclude=()), status='disputed', sampler=None, "
+        "hypothesis=None, draw=None, notes='a note')",
+        Statement(id="thm-x", check=abs, applies=Applies(8, (1, 7)), status="disputed",
+                  notes="a note"),
+        Statement("thm-x", abs, Applies(8, (1, 7)), "verified", notes="a note"),
+    ),
+    "Verdict": (
+        Verdict("thm-y", 13, {"a": 5}, "Fail", 3, "row", 4, {"rep": [1, -2]}),
+        "Verdict(id='thm-y', prime=13, parameters={'a': 5}, outcome='Fail', lhs=3, row='row', "
+        "rhs=4, witnesses={'rep': [1, -2]})",
+        Verdict(id="thm-y", prime=13, parameters={"a": 5}, outcome="Fail", lhs=3, row="row",
+                rhs=4, witnesses={"rep": [1, -2]}),
+        Verdict("thm-y", 13, {"a": 5}, "Fail", 3, "row", 4, {"rep": [1, 2]}),
+    ),
 }
 FIELDS = {
     "Outcome": ("ok", "lhs", "row", "rhs", "witnesses"),
@@ -69,8 +87,10 @@ FIELDS = {
     "QuadForm": ("a", "b", "c"),
     "ClassMatch": ("index", "representations"),
     "DeltaP": ("sign", "derivation"),
+    "Statement": ("id", "check", "applies", "status", "sampler", "hypothesis", "draw", "notes"),
+    "Verdict": ("id", "prime", "parameters", "outcome", "lhs", "row", "rhs", "witnesses"),
 }
-MUTABLE = {"Outcome", "Report"}
+MUTABLE = {"Outcome", "Report", "Verdict"}
 FROZEN = sorted(set(CASES) - MUTABLE)
 
 
@@ -145,6 +165,24 @@ def test_defaults_and_keywords():
     assert str(QuadForm(2, -1, 26)) == "[2,-1,26]"
     assert str(GaussianInt(3, -2)) == "3-2i" and str(EisensteinInt(2, 5)) == "2+5w"
     assert GaussianInt(3, -2).norm == 13 and EisensteinInt(2, 5).norm == 19
+
+
+def test_statement_and_verdict_keep_the_dataclass_functions():
+    stmt, verdict = CASES["Statement"][0], CASES["Verdict"][0]
+    for record in (stmt, verdict):
+        assert dataclasses.is_dataclass(record) and dataclasses.is_dataclass(type(record))
+        assert tuple(f.name for f in dataclasses.fields(record)) == FIELDS[type(record).__name__]
+    assert dataclasses.asdict(verdict) == {
+        "id": "thm-y", "prime": 13, "parameters": {"a": 5}, "outcome": "Fail", "lhs": 3,
+        "row": "row", "rhs": 4, "witnesses": {"rep": [1, -2]}}
+    assert [f.default for f in dataclasses.fields(Verdict)][4:] == [None] * 4
+    assert [f.default for f in dataclasses.fields(Statement)][2:] == [
+        Applies(), "verified", None, None, None, ""]
+    changed = dataclasses.replace(stmt, notes="another note")
+    assert type(changed) is Statement and changed.notes == "another note"
+    assert changed == Statement("thm-x", abs, Applies(8, (1, 7)), "disputed",
+                                notes="another note")
+    assert stmt.notes == "a note"
 
 
 @pytest.mark.parametrize("build, error, message", [

@@ -79,6 +79,19 @@ def test_ctx_refuses_p_at_construction(p):
         Ctx(p)
 
 
+def test_a_sweep_runs_no_trial_division_on_its_sieved_primes(monkeypatch):
+    tested = []
+    monkeypatch.setattr(engine, "is_prime", lambda p: tested.append(p) or is_prime(p))
+    verify_many(["thm-3.8"], 10000)
+    assert tested == []
+    # anything else still refuses a p that is not an odd prime
+    for refuse in (lambda: Ctx(9), lambda: Ctx(4), lambda: check_statement("thm-3.8", 9),
+                   lambda: delta_p(1, 1, 15)):
+        with pytest.raises(OutOfRangeError):
+            refuse()
+    assert tested == [9, 9, 15]
+
+
 # lem-3.3 applies above the limit and its check reads no table; eq-4.1 does
 # not apply there
 @pytest.mark.parametrize("sid, applies", [("lem-3.3", True), ("eq-4.1", False)])

@@ -9,11 +9,20 @@ workload runs both sides at seed `--seed + i`, the parent first when i is
 even and the change first when it is odd, so a slow stretch of the machine
 does not favour one side.  The output file holds every run and, per workload
 and end-to-end metric, each side's median and quartiles, the change's median
-relative to the parent's, the pairs the change won and lost, and the
-parent's quartile distance as a share of its median.  Quartiles are
-`statistics.quantiles(values, n=4)`, as in perfbench/steady.py.  The file is
-rewritten after every run.  Exits 1 when a run fails or an operation fails
-its output gate.
+relative to the parent's, the pairs the change won and lost, each side's
+quartile distance as a share of its median, and two verdicts:
+
+- `status`: `worse` when the change's median is worse than the parent's by
+  more than the metric's bound in BENCHMARK.json; else `unresolved` when
+  either side's quartile distance is wider than the bound, unless every
+  change run beats every parent run; else `within bound`;
+- `gain_rule_met`: the change won at least nine tenths of the pairs, ties
+  counting for neither side, and its median beats the parent's by more than
+  the parent's quartile distance.
+
+Quartiles are `statistics.quantiles(values, n=4)`, as in perfbench/steady.py.
+The file is rewritten after every run.  Exits 1 when a run fails or an
+operation fails its output gate.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: 
     }
 
 
-def summary(runs: list[dict], metric: str, better: str) -> dict:
+def summary(runs: list[dict], metric: str, better: str, bound: float) -> dict:
     sides = {side: [r["metrics"][metric] for r in runs if r["side"] == side]
              for side in ("parent", "change")}
     out = {}
@@ -62,19 +71,31 @@ def summary(runs: list[dict], metric: str, better: str) -> dict:
         q1, med, q3 = (statistics.quantiles(values, n=4)
                        if len(values) > 1 else (values[0],) * 3)
         out[side] = {"median": med, "q1": q1, "q3": q3}
-    sign = 1 if better == "lower" else -1
-    wins = losses = 0
+    sign = 1 if better == "lower" else -1  # sign * (parent - change) > 0: the change is better
+    wins = losses = pairs = 0
     for pair in {r["pair"] for r in runs}:
         by_side = {r["side"]: r["metrics"][metric] for r in runs if r["pair"] == pair}
         if len(by_side) == 2:
             d = sign * (by_side["parent"] - by_side["change"])
+            pairs += 1
             wins += d > 0
             losses += d < 0
-    parent = out["parent"]
-    out["change_vs_parent"] = out["change"]["median"] / parent["median"] - 1
+    parent, change = out["parent"], out["change"]
+    out["change_vs_parent"] = change["median"] / parent["median"] - 1
     out["pairs_won"] = wins
     out["pairs_lost"] = losses
     out["parent_iqr_share"] = (parent["q3"] - parent["q1"]) / parent["median"]
+    out["change_iqr_share"] = (change["q3"] - change["q1"]) / change["median"]
+    if sign * out["change_vs_parent"] > bound:
+        out["status"] = "worse"
+    elif (max(out["parent_iqr_share"], out["change_iqr_share"]) > bound
+          and not all(sign * (p - c) > 0 for p in sides["parent"] for c in sides["change"])):
+        out["status"] = "unresolved"
+    else:
+        out["status"] = "within bound"
+    out["gain_rule_met"] = (pairs > 0 and 10 * wins >= 9 * pairs
+                            and sign * (parent["median"] - change["median"])
+                            > parent["q3"] - parent["q1"])
     return out
 
 
@@ -121,8 +142,9 @@ def main() -> int:
                           + " ".join(f"{k}={v:.4g}" for k, v in got["metrics"].items()),
                           file=sys.stderr)
                     if len({r["side"] for r in runs}) == 2:
-                        entry["metrics"] = {m["name"]: summary(runs, m["name"], m["better"])
-                                            for m in bench["end_to_end"]}
+                        entry["metrics"] = {
+                            m["name"]: summary(runs, m["name"], m["better"], m["bound"])
+                            for m in bench["end_to_end"]}
                     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 1 if bad else 0
 
