@@ -43,9 +43,8 @@ print(' '.join(sorted({v.__qualname__ for m in mods for v in vars(m).values()
 
 def test_importing_the_registry_loads_no_json_and_two_dataclasses():
     # reports_json imports json on first use; every record is a plain
-    # slotted class, and Statement and Verdict build the fields dataclasses
-    # reads only when it first asks, so neither dataclasses nor the inspect
-    # it imports is loaded until then
+    # slotted class, and Statement and Verdict import dataclasses (and with
+    # it inspect) only when their __dataclass_fields__ is first read
     src = str(Path(congrkit.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-I", "-c", _IMPORT_CHECK, src],
                           capture_output=True, text=True, check=True)
