@@ -24,7 +24,11 @@ ladder over that ring.
 ModTables builds factorial tables for one prime, so each C(ak, bk) costs
 two multiplications, and sums any diagonal to any upper limit by a scalar
 Horner pass over it.  The O(p) tables are paid again at every prime, so
-they serve only the other diagonals and explicit upper limits.
+they serve only the shifted-binomial lemmas (binom_shift_lemma_check),
+the other diagonals and explicit upper limits (`compute sum --upper`).
+ModTables.binom and binom_general have no caller in the registry; they
+stay for the tests' oracles and because perfbench's tracer patches them
+by name.
 """
 
 from __future__ import annotations
@@ -303,6 +307,8 @@ def binom_shift_lemma_check(which: str, p: int) -> bool:
     L3.1: (n0+k)!/(n0-k)! = (3k)!/k!    (-27)^-k
 
     so each k reads one row entry per factorial, walked along the tables.
+    Both sides are then multiplied by the unit s^k, so that each k takes
+    one reduction: top * low * s^k = num * den, with sk = s^k carried along.
     """
     if which not in _SHIFT_LEMMAS:
         raise OutOfRangeError(f"unknown lemma {which!r}")
@@ -312,16 +318,20 @@ def binom_shift_lemma_check(which: str, p: int) -> bool:
         raise OutOfRangeError(f"{which} needs C({a}k, {b}k) with {a}k < p = {p}")
     t = mod_tables(p)
     fact, inv_fact = t.fact, t.inv_fact
-    inv_s = inv_mod(s, p)
-    sk = 1
+    inv_mod(s, p)  # refuses a scale that is not a unit mod p
+    s %= p
     # islice walks the rows in place; sliced copies would hold up to 1.5 p
-    # more pointers beside the tables
-    tops = repeat(fact[n0], n0) if which == "L2.3" else islice(fact, n0 + 1, 2 * n0 + 1)
+    # more pointers beside the tables.  L2.3's top is the constant n0!, so
+    # it starts the running power sk and each top is 1
+    if which == "L2.3":
+        sk, tops = fact[n0], repeat(1, n0)
+    else:
+        sk, tops = 1, islice(fact, n0 + 1, 2 * n0 + 1)
     lows = islice(reversed(inv_fact), p - n0, None)  # inv_fact[n0 - 1], ..., inv_fact[0]
     nums = islice(fact, a, a * n0 + 1, a)
     dens = islice(inv_fact, b, b * n0 + 1, b)
     for top, low, num, den in zip(tops, lows, nums, dens):
-        sk = sk * inv_s % p
-        if top * low % p != num * den % p * sk % p:
+        sk = sk * s % p
+        if (top * low * sk - num * den) % p:
             return False
     return True

@@ -12,7 +12,7 @@ from math import gcd, prod
 
 from ..binomsum import binom_shift_lemma_check
 from ..cyclotomic import EisensteinInt, cubic_symbol
-from ..modarith import is_prime, jacobi
+from ..modarith import inv_mod, is_prime, jacobi
 from ..qform import classify_by_class
 from .engine import (
     Applies,
@@ -21,6 +21,7 @@ from .engine import (
     FormTable,
     Outcome,
     Statement,
+    _x_plus_d_pow,
     cubic_roots,
     register,
     row_check,
@@ -70,19 +71,34 @@ _TABLE_ZPS = CaseTable(4, (
 ))
 
 
+def _sum_3k_full(x: int, p: int) -> int:
+    """sum_{k<p} C(3k, k) x^k mod the prime p > 3, for x a unit mod p.
+
+    C(3k, k) x^k is the t^0 coefficient of y^k, y = x(1+t)^3/t.  Mod p,
+    y^p = x(1 + t^p)^3/t^p, so the t^0 coefficient of
+    sum_{k<p} y^k = (y^p - 1)/(y - 1) is x g_{p-1}, where
+    sum_n g_n t^n = 1/(x(1+t)^3 - t).  So g_0 = 1/x and
+    g_n = -(a g_{n-1} + 3 g_{n-2} + g_{n-3}) with a = (3x - 1)/x, and
+    g_{p-1} comes from z^{p-1} mod z^3 + a z^2 + 3z + 1 (C. M. Fiduccia,
+    "An efficient formula for linear recurrences", SIAM J. Comput. 14,
+    1985).  z = w - d with d = a/3 makes the cubic w^3 + A w + B, with
+    A = 3 - 3d^2 and B = 2d^3 - 3d + 1, so (w - d)^{p-1} = u0 + u1 w + u2 w^2
+    is _x_plus_d_pow(-d, p - 1).  Then x g_{p-1} is
+    x (u0 g_0 + u1 (g_1 + d g_0) + u2 (g_2 + 2d g_1 + d^2 g_0)), and with
+    g_1 = -3d g_0, g_2 = (9d^2 - 3) g_0 and x g_0 = 1 that is
+    u0 - 2d u1 + (4d^2 - 3) u2.
+    """
+    d = (3 * x - 1) * inv_mod(3 * x, p) % p
+    dd = d * d % p
+    u0, u1, u2 = _x_plus_d_pow(p - d, p - 1, (3 - 3 * dd) % p, (2 * dd * d - 3 * d + 1) % p, p)
+    return (u0 - 2 * d * u1 + (4 * dd - 3) * u2) % p
+
+
 def _zps_sum(ctx: Ctx) -> int:
-    # sum of C(3k,k) 2^k for k = 1..p-1.  By Lucas, C(3k,k) = C(3k-qp, k)
-    # with q = [3k/p], which is 0 unless q = 0 (k <= [p/3]) or q = 1 and
-    # k >= p/2; so the sum is two runs, the second for p/2 < k < 2p/3.
-    p = ctx.p
-    binom = ctx.tables.binom
-    s = ctx.sum_binom(3, 1, 2) - 1
-    lo = (p + 1) // 2
-    pow2 = pow(2, lo, p)
-    for k in range(lo, (2 * p - 1) // 3 + 1):
-        s += pow2 * binom(3 * k - p, k)
-        pow2 = pow2 * 2 % p
-    return s % p
+    # sum of C(3k,k) 2^k for k = 1..p-1: the k = 0 term off 2 g_{p-1}, where
+    # sum_n g_n t^n = 1/(2(1+t)^3 - t), by Fiduccia's reduction of z^{p-1}
+    # mod the recurrence's cubic; O(log p) steps and no tables
+    return (_sum_3k_full(2, ctx.p) - 1) % ctx.p
 
 
 register(Statement(

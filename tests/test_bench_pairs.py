@@ -20,8 +20,8 @@ def runs(parent: list[float], change: list[float]) -> list[dict]:
 
 def test_a_clear_gain_is_within_bound_and_meets_the_gain_rule():
     got = bench_pairs.summary(runs([10, 11, 12, 10, 11], [5, 6, 5, 6, 5]), "m", "lower", 0.25)
-    assert got["parent"] == {"median": 11, "q1": 10, "q3": 11.5}
-    assert got["change"] == {"median": 5, "q1": 5, "q3": 6}
+    assert got["parent"] == {"median": 11, "q1": 10, "q3": 11.5, "min": 10, "max": 12}
+    assert got["change"] == {"median": 5, "q1": 5, "q3": 6, "min": 5, "max": 6}
     assert got["change_vs_parent"] == pytest.approx(5 / 11 - 1)
     assert (got["pairs_won"], got["pairs_lost"]) == (5, 0)
     assert got["parent_iqr_share"] == pytest.approx(1.5 / 11)
@@ -61,3 +61,27 @@ def test_the_gain_rule_wants_nine_tenths_of_the_pairs_and_a_gap_past_the_parent_
     # every pair won, but by less than the parent's quartile distance of 2
     got = bench_pairs.summary(runs([9, 11] * 5, [8, 10] * 5), "m", "lower", 0.25)
     assert got["pairs_won"] == 10 and got["gain_rule_met"] is False
+
+
+def test_min_and_max_show_an_outlier_the_quartiles_hide():
+    # one reading in five near 45 MB leaves the median and quartiles alone
+    got = bench_pairs.summary(runs([30, 31, 30, 45, 30], [30, 30, 31, 30, 44]), "m", "lower", 0.1)
+    assert (got["parent"]["min"], got["parent"]["max"]) == (30, 45)
+    assert (got["change"]["min"], got["change"]["max"]) == (30, 44)
+
+
+NAMES = ["sweep-all", "sweep-all-j2", "sweep-one", "spot-large"]
+
+
+def test_every_workload_runs_unless_some_are_named():
+    assert bench_pairs.parse_args(["--out", "x"], NAMES).workloads == NAMES
+    # repeatable, run in the order of BENCHMARK.json, each once
+    args = bench_pairs.parse_args(["--out", "x", "--workload", "spot-large", "--workload",
+                                   "sweep-one", "--workload", "spot-large"], NAMES)
+    assert args.workloads == ["sweep-one", "spot-large"]
+
+
+def test_an_unknown_workload_is_refused(capsys):
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(["--out", "x", "--workload", "sweep-none"], NAMES)
+    assert "invalid choice: 'sweep-none'" in capsys.readouterr().err

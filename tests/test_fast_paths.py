@@ -1,16 +1,19 @@
 """Fast paths against the brute force they replaced, kept here as oracles.
 
 `cubic_roots` finds roots through gcd(f, x^p - x); the oracle scans every
-residue.  `intro-zps` sums C(3k,k) 2^k as two diagonal runs cut out by
-Lucas's theorem; the oracle reads all p - 1 terms through base-p digits.
+residue.  `intro-zps` takes the sum of C(3k,k) 2^k over k < p from a cubic
+recurrence, with no tables; one oracle reads all p - 1 terms through base-p
+digits, the other sums on the tables the two diagonal runs that Lucas's
+theorem leaves nonzero.
 `sum_diag_pow` reads the diagonal off the factorial tables; the oracle
 reads each term through `binom`.  `lucas_sum` takes the sums of C(4k, 2k)
 and C(3k, k) from one Lucas pair, and `ring_sum` those of C(2bk, bk) and
 C(6k, 2k) by powering in a quotient ring; the oracle of both is a Horner
 pass over the table diagonal, the other path of `Ctx.sum_binom`.  The
 shift lemmas read the factorial tables directly, cancelling a unit
-factorial from both sides; the oracle is the loop that computed both
-binomials in full, and a corrupted table entry must make them fail.
+factorial from both sides and multiplying both by the unit s^k; the oracle
+is the loop that computed both binomials in full against s^-k, and a
+corrupted table entry must make them fail.
 `ModTables` takes 1/k! from (p-1-k)! by Wilson's reflection; the oracle is
 the two-loop build, k! by a forward loop and 1/k! by a backward loop down
 from 1/(p-1)!.
@@ -63,7 +66,7 @@ from congrkit.qform import QuadForm, class_group, class_key, classify_by_class, 
 from congrkit.registry import Ctx, Outcome, cubic_roots
 from congrkit.registry import engine, statements_binom3 as b3, statements_binom4 as b4
 from congrkit.registry.engine import FormTable
-from congrkit.registry.statements_binom3 import _zps_sum
+from congrkit.registry.statements_binom3 import _sum_3k_full, _zps_sum
 
 PRIMES_5_2000 = [p for p in sieve_primes(2000) if p >= 5]
 BIG_PRIMES = [q for q in range(100_000, 100_170) if is_prime(q)]
@@ -116,6 +119,22 @@ def zps_loop(ctx):
         pow2 = pow2 * 2 % p
         s = (s + pow2 * ctx.tables.binom_general(3 * k, k)) % p
     return s
+
+
+def zps_two_runs(ctx):
+    """sum of C(3k,k) 2^k for k = 1..p-1 as two diagonal runs: by Lucas,
+    C(3k,k) = C(3k-qp, k) with q = [3k/p], which is 0 unless q = 0
+    (k <= [p/3]) or q = 1 and k >= p/2; the second run, p/2 < k < 2p/3,
+    reads the tables."""
+    p = ctx.p
+    binom = ctx.tables.binom
+    s = ctx.sum_binom(3, 1, 2) - 1
+    lo = (p + 1) // 2
+    pow2 = pow(2, lo, p)
+    for k in range(lo, (2 * p - 1) // 3 + 1):
+        s += pow2 * binom(3 * k - p, k)
+        pow2 = pow2 * 2 % p
+    return s % p
 
 
 def horner(coeffs, m, p):
@@ -245,7 +264,26 @@ def test_zps_sum_above_1e5_in_both_classes_mod_4():
 def test_zps_sum_next_to_the_run_boundaries(p):
     # the second run is (p+1)/2..[(2p-1)/3]: k = 4 at 7, 6..7 at 11, 7..8 at 13
     exact = sum(math.comb(3 * k, k) * 2**k for k in range(1, p)) % p
-    assert _zps_sum(Ctx(p)) == zps_loop(Ctx(p)) == exact
+    assert _zps_sum(Ctx(p)) == zps_two_runs(Ctx(p)) == zps_loop(Ctx(p)) == exact
+
+
+@pytest.mark.parametrize("p", [999_983, 1_999_993])
+def test_zps_sum_matches_the_two_runs_up_to_the_table_limit(p):
+    try:
+        assert _zps_sum(Ctx(p)) == zps_two_runs(Ctx(p))
+    finally:
+        mod_tables.cache_clear()  # the tables at 1999993 hold about 128 MB
+
+
+def test_full_3k_sums_match_the_exact_binomials():
+    # every unit x = 1..11 at every prime 5 <= p < 400; the recurrence
+    # needs 1/x and 1/3
+    combs = [math.comb(3 * k, k) for k in range(400)]
+    for p in sieve_primes(400)[2:]:
+        row = [c % p for c in combs[:p]]
+        for x in range(1, 12):
+            if x % p:
+                assert _sum_3k_full(x, p) == horner(row, x, p), (x, p)
 
 
 @pytest.mark.parametrize("primes", [sieve_primes(2000)[1:], [100_003]],
@@ -467,6 +505,12 @@ def test_shift_lemmas_catch_every_inv_fact_corruption_the_loop_catches(monkeypat
             t.inv_fact[i] = bad(t.inv_fact[i])
             monkeypatch.setattr(binomsum, "mod_tables", lambda q: t)
             assert binom_shift_lemma_check(which, p) <= shift_lemma_loop(which, p, t), i
+
+
+@pytest.mark.parametrize("p", [99_991, 100_003])
+@pytest.mark.parametrize("which, a", SHIFT_LEMMAS)
+def test_shift_lemmas_agree_with_the_loop_above_1e5(which, a, p):
+    assert binom_shift_lemma_check(which, p) == shift_lemma_loop(which, p, mod_tables(p)) is True
 
 
 def test_class_key_matches_the_two_reductions():

@@ -156,6 +156,24 @@ def test_tables_are_built_only_where_a_check_reads_them(table_builds):
     assert built == [1987]
 
 
+def test_intro_zps_builds_no_tables(table_builds):
+    # its full-range sum is a cubic recurrence: no tables in a serial sweep,
+    # in a pool chunk that starts above the first prime, or at a large prime
+    report = verify_many(["intro-zps"], 2000)[0]
+    assert report.checked > 0 and report.failed == 0
+    chunk = [q for q in range(1000, 2000) if is_prime(q)]
+    assert engine._sweep((["intro-zps"], chunk, 2000, 0, False))["intro-zps"].checked > 0
+    assert check_statement("intro-zps", 100_003).outcome == "Pass"
+    assert table_builds == []
+
+
+def test_every_id_at_one_prime_builds_its_tables_once(table_builds):
+    # the shift lemmas read them; every other id is checked without them
+    for sid in registered_ids():
+        check_statement(sid, 100_003)
+    assert table_builds == [100_003]
+
+
 def test_a_shared_ctx_builds_its_tables_at_most_once(table_builds):
     built = table_builds
     verify_many(registered_ids(), 300)

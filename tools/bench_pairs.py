@@ -4,11 +4,12 @@
 
 Runs the command of BENCHMARK.json (`perfbench/run.py --trace 0`) on the
 parent commit, extracted with `git archive` into a temporary directory, and
-on the working tree, for every workload of BENCHMARK.json.  Pair i of a
-workload runs both sides at seed `--seed + i`, the parent first when i is
-even and the change first when it is odd, so a slow stretch of the machine
-does not favour one side.  The output file holds every run and, per workload
-and end-to-end metric, each side's median and quartiles, the change's median
+on the working tree, for every workload of BENCHMARK.json, or for those
+named by `--workload NAME` (repeatable).  Pair i of a workload runs both
+sides at seed `--seed + i`, the parent first when i is even and the change
+first when it is odd, so a slow stretch of the machine does not favour one
+side.  The output file holds every run and, per workload and end-to-end
+metric, each side's median, quartiles, min and max, the change's median
 relative to the parent's, the pairs the change won and lost, each side's
 quartile distance as a share of its median, and two verdicts:
 
@@ -70,7 +71,7 @@ def summary(runs: list[dict], metric: str, better: str, bound: float) -> dict:
     for side, values in sides.items():
         q1, med, q3 = (statistics.quantiles(values, n=4)
                        if len(values) > 1 else (values[0],) * 3)
-        out[side] = {"median": med, "q1": q1, "q3": q3}
+        out[side] = {"median": med, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
     sign = 1 if better == "lower" else -1  # sign * (parent - change) > 0: the change is better
     wins = losses = pairs = 0
     for pair in {r["pair"] for r in runs}:
@@ -99,17 +100,26 @@ def summary(runs: list[dict], metric: str, better: str, bound: float) -> dict:
     return out
 
 
-def main() -> int:
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in bench["workloads"]]
+def parse_args(argv: list[str] | None, names: list[str]) -> argparse.Namespace:
+    """The options; args.workloads holds the workloads to run, in the order
+    of names, every one of them unless --workload names some."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD~", help="git revision of the parent")
     ap.add_argument("--pairs", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     ap.add_argument("--out", required=True)
-    args = ap.parse_args()
+    ap.add_argument("--workload", action="append", choices=names, dest="workloads",
+                    help="a workload to run, repeatable; default every one")
+    args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error(f"--pairs must be at least 1, got {args.pairs}")
+    args.workloads = [n for n in names if n in (args.workloads or names)]
+    return args
+
+
+def main() -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = parse_args(None, [w["name"] for w in bench["workloads"]])
 
     parent_sha = git("rev-parse", args.parent).decode().strip()
     record = {
@@ -128,7 +138,7 @@ def main() -> int:
         with tarfile.open(fileobj=io.BytesIO(git("archive", parent_sha))) as tar:
             tar.extractall(tmp, filter="data")
         trees = {"parent": Path(tmp), "change": ROOT}
-        for name in names:
+        for name in args.workloads:
             runs: list[dict] = []
             entry = record["workloads"][name] = {"runs": runs}
             for pair in range(args.pairs):
